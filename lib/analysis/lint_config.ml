@@ -260,19 +260,17 @@ let default =
         r1_dls_prefixes =
           [ "Sb7_core__"; "Sb7_stm__"; "Sb7_runtime__"; "Sb7_sanitize__" ];
         (* The blessed per-domain-state modules: sharded statistics and
-           counters, the chunked tvar-id allocator, the STM / fine-lock
-           per-domain transaction contexts, the sanitizer's event
-           buffers and nesting-depth tracking, and the current-region
-           bracket feeding the footprint replay. *)
+           counters, the chunked tvar-id allocator, the shared STM
+           transaction engine (TL2/LSA/NOrec/ETL), ASTM's and the fine
+           locks' per-domain transaction contexts, the sanitizer's
+           event buffers and nesting-depth tracking, and the
+           current-region bracket feeding the footprint replay. *)
         r1_dls_allowed_units =
           [
             "Sb7_stm__Stm_stats";
             "Sb7_stm__Sharded_counter";
             "Sb7_stm__Tvar_id";
-            "Sb7_stm__Tl2";
-            "Sb7_stm__Lsa";
-            "Sb7_stm__Norec";
-            "Sb7_stm__Etl";
+            "Sb7_stm__Txdesc";
             "Sb7_stm__Astm";
             "Sb7_runtime__Fine_runtime";
             "Sb7_runtime__Tournament_runtime";
@@ -360,35 +358,29 @@ let default =
         (* The sanctioned Obj sites, each documented in DESIGN.md §3
            ("Typed transaction logs"):
            Padded_atomic exists to defeat false sharing and is Obj
-           throughout; the TL2/LSA/NOrec word-based stores need one
+           throughout; the TL2/LSA/NOrec lazy write buffers need one
            cast per module to erase tvar payload types; and the
-           structure-of-arrays transaction logs erase their entries
-           into parallel [Obj.t] arrays through a fixed set of
-           capture/restore helpers (one group per substrate, each a
-           two-line adapter whose type annotation states the only
-           shape it ever sees). *)
+           structure-of-arrays logs erase their entries into parallel
+           [Obj.t] arrays through a fixed set of capture/restore
+           helpers (the shared undo journal's in Checkpoint, ETL's
+           in-place journal pair, NOrec's value log — each a two-line
+           adapter whose type annotation states the only shape it ever
+           sees). *)
         r5_allowed =
           [
             ("Sb7_stm__Padded_atomic", None);
             ("Sb7_stm__Tl2", Some "cast_ref");
-            ("Sb7_stm__Tl2", Some "undo_unset");
-            ("Sb7_stm__Tl2", Some "undo_capture_slot");
-            ("Sb7_stm__Tl2", Some "undo_capture_val");
-            ("Sb7_stm__Tl2", Some "undo_restore");
             ("Sb7_stm__Lsa", Some "cast_ref");
-            ("Sb7_stm__Lsa", Some "undo_unset");
-            ("Sb7_stm__Lsa", Some "undo_capture_slot");
-            ("Sb7_stm__Lsa", Some "undo_capture_val");
-            ("Sb7_stm__Lsa", Some "undo_restore");
             ("Sb7_stm__Norec", Some "cast_ref");
+            ("Sb7_stm__Checkpoint", Some "undo_unset");
+            ("Sb7_stm__Checkpoint", Some "save_ref");
+            ("Sb7_stm__Checkpoint", Some "restore_ref");
+            ("Sb7_stm__Etl", Some "journal");
+            ("Sb7_stm__Etl", Some "undo_restore");
             ("Sb7_stm__Norec", Some "read_unset");
             ("Sb7_stm__Norec", Some "read_capture_tv");
             ("Sb7_stm__Norec", Some "read_capture_val");
             ("Sb7_stm__Norec", Some "read_still_current");
-            ("Sb7_stm__Etl", Some "undo_unset");
-            ("Sb7_stm__Etl", Some "undo_capture_tv");
-            ("Sb7_stm__Etl", Some "undo_capture_val");
-            ("Sb7_stm__Etl", Some "undo_restore");
           ];
       };
     r6 =
@@ -416,15 +408,16 @@ let default =
         r7_prefixes = [ "Sb7_" ];
         (* Roots beyond the Domain.spawn closures the graph discovers
            itself. The benchmark workers call the runtime through the
-           [R] functor parameter and the read-only dispatcher calls the
-           substrate through its [Stm] parameter — calls through
-           functor parameters have no resolvable path, so the
-           cross-domain entry points they target are rooted here
-           explicitly. Whole-unit roots cover the lock runtimes and
-           wrappers (every binding of those units runs on worker
-           domains); the substrates only need [atomic]/[atomic_ro]
-           rooted — the rest of their API is re-exported by the
-           wrapper units and reached through the value graph. *)
+           [R] functor parameter, and the STM runtimes are single
+           [Ro_dispatch.Make] applications that call the substrate
+           through its [Stm] parameter — calls through functor
+           parameters have no resolvable path, so the cross-domain
+           entry points they target are rooted here explicitly.
+           Whole-unit roots cover the lock runtimes and wrappers
+           (every binding of those units runs on worker domains); the
+           substrates get exactly the entry points the dispatcher
+           forwards to — the rest of each engine is reached from them
+           through the value graph. *)
         r7_roots =
           [
             ("Sb7_runtime__Seq_runtime", None);
@@ -438,17 +431,19 @@ let default =
             ("Sb7_runtime__Astm_runtime", None);
             ("Sb7_runtime__Tournament_runtime", None);
             ("Sb7_runtime__Ro_dispatch", None);
-            ("Sb7_stm__Tl2", Some "atomic");
-            ("Sb7_stm__Tl2", Some "atomic_ro");
-            ("Sb7_stm__Lsa", Some "atomic");
-            ("Sb7_stm__Lsa", Some "atomic_ro");
-            ("Sb7_stm__Norec", Some "atomic");
-            ("Sb7_stm__Norec", Some "atomic_ro");
-            ("Sb7_stm__Etl", Some "atomic");
-            ("Sb7_stm__Etl", Some "atomic_ro");
-            ("Sb7_stm__Astm", Some "atomic");
-            ("Sb7_stm__Astm", Some "atomic_ro");
-          ];
+          ]
+          @ List.concat_map
+              (fun unit_name ->
+                List.map
+                  (fun b -> (unit_name, Some b))
+                  [ "atomic"; "atomic_ro"; "read"; "write" ])
+              [
+                "Sb7_stm__Tl2";
+                "Sb7_stm__Lsa";
+                "Sb7_stm__Norec";
+                "Sb7_stm__Etl";
+                "Sb7_stm__Astm";
+              ];
         (* Per-domain context records: every value of these types is
            either allocated fresh per transaction/operation or lives in
            Domain.DLS, so a mutation reachable from a domain root is
@@ -456,36 +451,29 @@ let default =
            audit trail the allowlist test asserts non-empty. *)
         r7_confined_types =
           [
-            ( "Sb7_stm__Tl2.tx",
-              "transaction descriptor: DLS-pooled, owned by one domain \
-               for the lifetime of each transaction" );
-            ( "Sb7_stm__Lsa.tx",
-              "transaction descriptor: DLS-pooled, owned by one domain \
-               for the lifetime of each transaction" );
+            ( "Sb7_stm__Txdesc.vtx",
+              "transaction descriptor (TL2/LSA/ETL): DLS-pooled, owned \
+               by one domain for the lifetime of each transaction" );
+            ( "Sb7_stm__Readset.t",
+              "read set of a Txdesc.vtx descriptor: owned with it" );
+            ( "Sb7_stm__Checkpoint.t",
+              "checkpoint marks, write log and undo journal of a \
+               Txdesc.vtx descriptor: owned with it" );
             ( "Sb7_stm__Norec.tx",
-              "transaction descriptor: DLS-pooled, owned by one domain \
-               for the lifetime of each transaction" );
-            ( "Sb7_stm__Etl.tx",
               "transaction descriptor: DLS-pooled, owned by one domain \
                for the lifetime of each transaction" );
             ( "Sb7_stm__Astm.txd",
               "transaction descriptor: DLS-pooled, owned by one domain \
                for the lifetime of each transaction" );
-            ( "Sb7_stm__Tl2.domain_state",
-              "Domain.DLS value: per-domain by construction" );
-            ( "Sb7_stm__Lsa.domain_state",
-              "Domain.DLS value: per-domain by construction" );
-            ( "Sb7_stm__Norec.domain_state",
-              "Domain.DLS value: per-domain by construction" );
-            ( "Sb7_stm__Etl.domain_state",
+            ( "Sb7_stm__Txdesc.state",
               "Domain.DLS value: per-domain by construction" );
             ( "Sb7_stm__Astm.domain_state",
               "Domain.DLS value: per-domain by construction" );
             ( "wentry.W",
-              "write-set entry (inline record, all substrates): owned \
-               by the enclosing transaction descriptor; .locked and \
-               .content transitions happen with the entry's tvar \
-               version-lock held" );
+              "lazy write-buffer entry (inline record, TL2/LSA/NOrec): \
+               owned by the enclosing transaction descriptor; its \
+               tvar's .content is published only at commit, under the \
+               tvar's version-lock or NOrec's sequence lock" );
             ( "Sb7_stm__Stm_stats.shard",
               "padded per-domain statistics shard: only the owning \
                domain writes it; readers aggregate quiescently" );
@@ -513,15 +501,9 @@ let default =
            checks — cover. *)
         r7_tvar_types =
           [
-            ( "Sb7_stm__Tl2.tvar",
-              "content written only at commit with the tvar's \
-               version-lock held" );
             ( "Sb7_stm__Lsa.tvar",
               "version-list head CAS-managed; content written under \
                the version-lock" );
-            ( "Sb7_stm__Norec.tvar",
-              "content written only inside the commit critical \
-               section under the global sequence lock" );
             ( "Sb7_stm__Etl.tvar",
               "content written encounter-time with the tvar's \
                write-lock held" );
@@ -586,16 +568,11 @@ let default =
               Some "stats",
               "reads the champion-occupancy counters quiescently after \
                a run; staleness is harmless for reporting" );
-            ( "Sb7_stm__Tl2",
-              Some "undo_restore",
-              "restores a tvar content slot from the per-transaction \
-               undo log during rollback; the slot was captured while \
-               the entry's version-lock protocol owned it" );
-            ( "Sb7_stm__Lsa",
-              Some "undo_restore",
-              "restores a tvar content slot from the per-transaction \
-               undo log during rollback; the slot was captured while \
-               the entry's version-lock protocol owned it" );
+            ( "Sb7_stm__Checkpoint",
+              Some "restore_ref",
+              "restores a lazy write-buffer slot (TL2/LSA) from the \
+               per-transaction undo journal during a partial rollback; \
+               the slot is transaction-private until commit" );
             ( "Sb7_stm__Tl2",
               Some "write",
               "updates the transaction-private redo slot (w.value ref) \

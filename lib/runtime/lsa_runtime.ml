@@ -5,23 +5,4 @@
     operation that writes despite a read-only profile is demoted to
     update mode after one clean restart instead of failing. *)
 
-module Stm = Sb7_stm.Lsa
-module D = Ro_dispatch.Make (Stm)
-
-let name = Stm.name
-
-type 'a tvar = 'a Stm.tvar
-
-let make = Stm.make
-let read = Stm.read
-let write = Stm.write
-let atomic = D.atomic
-let partial_abort = D.partial_abort
-let checkpoint = D.checkpoint
-let resume = D.resume
-
-let stats () = Sb7_stm.Stm_stats.to_assoc (Stm.stats ())
-
-let reset_stats () =
-  D.reset ();
-  Stm.reset_stats ()
+include Ro_dispatch.Make (Sb7_stm.Lsa)

@@ -13,10 +13,17 @@
    hot path is a single [Atomic.get] that is [[]] for honest
    workloads, and the list stays as short as the number of lying
    operations (a handful at most), so membership is effectively O(1).
-   [reset] clears it (wired to the runtime's [reset_stats] so
-   harness/bench runs start from the declared profiles). *)
+   [reset] clears it; [reset_stats] clears it together with the STM's
+   counters, so harness/bench runs start from the declared profiles. *)
 
 module Make (Stm : Sb7_stm.Stm_intf.S) = struct
+  let name = Stm.name
+
+  type 'a tvar = 'a Stm.tvar
+
+  let make = Stm.make
+  let read = Stm.read
+  let write = Stm.write
   let demoted : string list Atomic.t = Atomic.make []
 
   let is_demoted name =
@@ -51,4 +58,9 @@ module Make (Stm : Sb7_stm.Stm_intf.S) = struct
   let partial_abort = Stm.partial_abort
   let checkpoint = Stm.checkpoint
   let resume = Stm.resume
+  let stats () = Sb7_stm.Stm_stats.to_assoc (Stm.stats ())
+
+  let reset_stats () =
+    reset ();
+    Stm.reset_stats ()
 end

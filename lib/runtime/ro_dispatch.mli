@@ -1,5 +1,5 @@
-(** Profile-directed read-only dispatch with adaptive fallback, shared
-    by the STM runtimes.
+(** Profile-directed read-only dispatch with adaptive fallback: the
+    complete runtime over one STM, shared by the STM runtimes.
 
     Operations whose {!Op_profile} declares no writes run through the
     STM's [atomic_ro] fast path. A declared-read-only operation that
@@ -13,22 +13,18 @@
 module Make (Stm : Sb7_stm.Stm_intf.S) : sig
   (** [atomic ~profile f] dispatches [f] to [Stm.atomic_ro] when
       [Op_profile.read_only profile] holds and the operation has not
-      been demoted, to [Stm.atomic] otherwise. *)
-  val atomic : profile:Op_profile.t -> (unit -> 'a) -> 'a
+      been demoted, to [Stm.atomic] otherwise. The checkpoint
+      capability is forwarded from the STM unchanged: on the
+      [atomic_ro] path the STM ignores checkpoints (no read set to
+      salvage), which is exactly right — those transactions never
+      conflict-abort. [stats] is the STM's {!Sb7_stm.Stm_stats}
+      snapshot; [reset_stats] also clears the demotion registry. *)
+  include Runtime_intf.S with type 'a tvar = 'a Stm.tvar
 
   (** Has this operation been demoted to update mode? *)
   val is_demoted : string -> bool
 
-  (** Clear the demotion registry (wire into the runtime's
-      [reset_stats] so runs start from the declared profiles). *)
+  (** Clear the demotion registry only (the tournament resets its
+      substrates' counters itself). *)
   val reset : unit -> unit
-
-  (** Checkpoint capability, forwarded from the STM so runtimes built
-      on this dispatcher expose it unchanged. On the [atomic_ro] path
-      the STM ignores checkpoints (no read set to salvage), which is
-      exactly right: those transactions never conflict-abort. *)
-  val partial_abort : bool
-
-  val checkpoint : acc:int -> unit
-  val resume : unit -> int * int
 end

@@ -4,23 +4,4 @@
     zero-log read-only mode, with adaptive demotion to an update
     transaction if the profile lied (see {!Ro_dispatch}). *)
 
-module Stm = Sb7_stm.Tl2
-module D = Ro_dispatch.Make (Stm)
-
-let name = Stm.name
-
-type 'a tvar = 'a Stm.tvar
-
-let make = Stm.make
-let read = Stm.read
-let write = Stm.write
-let atomic = D.atomic
-let partial_abort = D.partial_abort
-let checkpoint = D.checkpoint
-let resume = D.resume
-
-let stats () = Sb7_stm.Stm_stats.to_assoc (Stm.stats ())
-
-let reset_stats () =
-  D.reset ();
-  Stm.reset_stats ()
+include Ro_dispatch.Make (Sb7_stm.Tl2)

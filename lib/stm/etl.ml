@@ -50,67 +50,16 @@ type 'a tvar = {
   mutable content : 'a;
 }
 
-(* An encounter-time lock held by the transaction. Existential like
-   {!Tl2.wentry}, but with no buffered value (the content is written
-   through in place) the payload never needs to be recovered: no
-   coercion, no [Obj]. *)
-type wentry = W : { tv : 'a tvar; locked_from : int } -> wentry
-
-(* Structure-of-arrays read set; see the twin comment in Tl2. *)
-let dummy_vlock : int Atomic.t = Atomic.make 0
-
-(* Journal of overwritten contents, in store order; an abort replays
-   it in reverse so the first-write entry restores last. Two parallel
-   [Obj.t] arrays instead of an array of existential {tv; saved}
-   records: pushes and growth doublings allocate no per-entry box and
-   slots are reused in place. The coercions are justified like
-   [Tl2.cast_ref]: each (tvar, saved-content) pair is captured from
-   the same ['a] and only re-paired at the same index. [undo_unset] is
-   an immediate, so the arrays are never float-specialized and a
-   cleared slot pins no dead value. *)
-let undo_unset : Obj.t = Obj.repr 0
-
-let undo_capture_tv : 'a tvar -> Obj.t = fun tv -> Obj.repr tv
-let undo_capture_val : 'a tvar -> Obj.t = fun tv -> Obj.repr tv.content
+(* The undo journal ({!Checkpoint}'s) records overwritten contents in
+   store order as (tvar, saved content) pairs; an abort replays it in
+   reverse so the first-write entry restores last. Both are captured
+   from the same ['a] and only re-paired at the same index (see
+   {!Checkpoint} for the [Obj] discipline). *)
+let journal ck (tv : 'a tvar) =
+  Checkpoint.push_undo ck (Obj.repr tv) (Obj.repr tv.content)
 
 let undo_restore (tv : Obj.t) (v : Obj.t) =
   (Obj.obj tv : Obj.t tvar).content <- v
-
-type tx = {
-  mutable rv : int;
-  mutable read_ids : int array;
-  mutable read_versions : int array;
-  mutable read_vlocks : int Atomic.t array;
-  mutable nreads : int;
-  (* Read-set dedup, identical to {!Tl2}'s direct-mapped cache. *)
-  mutable dedup_ids : int array;
-  mutable dedup_epochs : int array;
-  mutable epoch : int;
-  writes : (int, wentry) Hashtbl.t; (* tvars whose lock we hold *)
-  mutable wbloom : int;
-  (* Mutable so a recycled descriptor can be reseeded per domain. *)
-  mutable backoff : Backoff.t;
-  mutable validation_steps : int;
-  mutable dedup_hits : int;
-  mutable bloom_skips : int;
-  mutable extensions : int;
-  (* Checkpoint state; see {!Tl2}. [wlog] records locked tvar ids in
-     acquisition order so a partial abort can release exactly the
-     post-watermark locks. *)
-  mutable mark_reads : int array;
-  mutable mark_wlog : int array;
-  mutable mark_undo : int array;
-  mutable mark_acc : int array;
-  mutable nmarks : int;
-  mutable wlog : int array;
-  mutable nwlog : int;
-  mutable undo_tvs : Obj.t array; (* parallel with undo_vals *)
-  mutable undo_vals : Obj.t array;
-  mutable nundo : int;
-  mutable ncheckpoints : int;
-  mutable resume_marks : int;
-  mutable resume_acc : int;
-}
 
 let clock = Global_clock.create ()
 let global_stats = Stm_stats.create ()
@@ -118,192 +67,18 @@ let tvar_ids = Tvar_id.create ()
 
 let make v = { id = Tvar_id.fresh tvar_ids; vlock = Atomic.make 0; content = v }
 
-let initial_reads = 64
-let initial_dedup = 2 * initial_reads
+(* Whether the transaction holds [id]'s encounter-time lock: the
+   descriptor's [writes] is just the set of tvars whose lock we hold —
+   the content is written through in place, so there is no buffered
+   value to keep and no coercion (the lock itself, and the version it
+   was taken at, sit in {!Checkpoint}'s write log). *)
+let owns (tx : unit Txdesc.vtx) id = Hashtbl.mem tx.writes id
 
-let fresh_tx () =
-  {
-    rv = 0;
-    read_ids = Array.make initial_reads (-1);
-    read_versions = Array.make initial_reads 0;
-    read_vlocks = Array.make initial_reads dummy_vlock;
-    nreads = 0;
-    dedup_ids = Array.make initial_dedup (-1);
-    dedup_epochs = Array.make initial_dedup 0;
-    epoch = 0;
-    writes = Hashtbl.create 64;
-    wbloom = 0;
-    backoff = Backoff.for_domain ();
-    validation_steps = 0;
-    dedup_hits = 0;
-    bloom_skips = 0;
-    extensions = 0;
-    mark_reads = Array.make 16 0;
-    mark_wlog = Array.make 16 0;
-    mark_undo = Array.make 16 0;
-    mark_acc = Array.make 16 0;
-    nmarks = 0;
-    wlog = Array.make 16 0;
-    nwlog = 0;
-    undo_tvs = Array.make 16 undo_unset;
-    undo_vals = Array.make 16 undo_unset;
-    nundo = 0;
-    ncheckpoints = 0;
-    resume_marks = 0;
-    resume_acc = 0;
-  }
+(* Read-set validation is always own-lock aware here: the transaction
+   may hold encounter-time locks on tvars it read first. *)
+let extend tx = Txdesc.extend clock ~own_locks:true tx
 
-let bloom_bit id =
-  let h = id * 0x9E3779B9 in
-  (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)))
-
-type domain_state = {
-  mutable active : tx option;
-  mutable spare : tx option;
-  mutable ro_rv : int;
-}
-
-let current_key : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { active = None; spare = None; ro_rv = -1 })
-
-let current () = Domain.DLS.get current_key
-
-(* Descriptor free pool; same design as Tl2's (scrub-on-release,
-   at-exit donation, pool pop or fresh allocation on a domain's first
-   transaction, backoff reseed on adoption). *)
-let pool_lock = Mutex.create ()
-let pool : tx list ref = ref []
-
-let scrub_tx tx =
-  Hashtbl.reset tx.writes;
-  Array.fill tx.read_vlocks 0 (Array.length tx.read_vlocks) dummy_vlock;
-  Array.fill tx.undo_tvs 0 (Array.length tx.undo_tvs) undo_unset;
-  Array.fill tx.undo_vals 0 (Array.length tx.undo_vals) undo_unset;
-  tx.nreads <- 0;
-  tx.nundo <- 0;
-  tx.nwlog <- 0;
-  tx.nmarks <- 0;
-  tx.wbloom <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0
-
-let release_spare state =
-  match state.spare with
-  | None -> ()
-  | Some tx ->
-    state.spare <- None;
-    scrub_tx tx;
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      pool := tx :: !pool;
-      Mutex.unlock pool_lock
-    end
-
-let acquire_tx state =
-  let tx =
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      let popped =
-        match !pool with
-        | tx :: rest ->
-          pool := rest;
-          Some tx
-        | [] -> None
-      in
-      Mutex.unlock pool_lock;
-      match popped with
-      | Some tx ->
-        Stm_stats.record_pool_hit global_stats;
-        tx.backoff <- Backoff.for_domain ();
-        tx
-      | None ->
-        Stm_stats.record_pool_miss global_stats;
-        fresh_tx ()
-    end
-    else begin
-      Stm_stats.record_pool_miss global_stats;
-      fresh_tx ()
-    end
-  in
-  state.spare <- Some tx;
-  Domain.at_exit (fun () -> release_spare state);
-  tx
-
-let in_transaction () =
-  let state = current () in
-  state.ro_rv >= 0
-  ||
-  match state.active with
-  | None -> false
-  | Some _ -> true
-
-let dedup_seen tx id =
-  let slot = id land (Array.length tx.dedup_ids - 1) in
-  if tx.dedup_epochs.(slot) = tx.epoch && tx.dedup_ids.(slot) = id then true
-  else begin
-    tx.dedup_ids.(slot) <- id;
-    tx.dedup_epochs.(slot) <- tx.epoch;
-    false
-  end
-
-let push_read tx id vlock version =
-  let n = tx.nreads in
-  if n = Array.length tx.read_ids then begin
-    let cap = 2 * n in
-    let rids = Array.make cap (-1) in
-    let versions = Array.make cap 0 in
-    let vlocks = Array.make cap dummy_vlock in
-    Array.blit tx.read_ids 0 rids 0 n;
-    Array.blit tx.read_versions 0 versions 0 n;
-    Array.blit tx.read_vlocks 0 vlocks 0 n;
-    tx.read_ids <- rids;
-    tx.read_versions <- versions;
-    tx.read_vlocks <- vlocks;
-    let size = 2 * Array.length tx.dedup_ids in
-    let ids = Array.make size (-1) and epochs = Array.make size tx.epoch in
-    for i = 0 to n - 1 do
-      let id = rids.(i) in
-      ids.(id land (size - 1)) <- id
-    done;
-    ids.(id land (size - 1)) <- id;
-    tx.dedup_ids <- ids;
-    tx.dedup_epochs <- epochs
-  end;
-  tx.read_ids.(n) <- id;
-  tx.read_versions.(n) <- version;
-  tx.read_vlocks.(n) <- vlock;
-  tx.nreads <- n + 1
-
-(* Whether the transaction holds [id]'s encounter-time lock. *)
-let owns tx id = Hashtbl.mem tx.writes id
-
-(* Read-set validation, always own-lock aware: an entry logged at
-   version [v] whose vlock now reads [v + 1] is intact if WE hold the
-   lock (it was acquired at exactly the logged version — a foreign
-   commit in between would have bumped the version past [v]). *)
-let read_set_valid tx =
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < tx.nreads do
-    let cur = Atomic.get tx.read_vlocks.(!i) in
-    let version = tx.read_versions.(!i) in
-    if cur <> version then
-      if not (cur = version + 1 && owns tx tx.read_ids.(!i)) then ok := false;
-    incr i
-  done;
-  tx.validation_steps <- tx.validation_steps + !i;
-  !ok
-
-let extend tx =
-  let now = Global_clock.now clock in
-  if read_set_valid tx then begin
-    tx.rv <- now;
-    tx.extensions <- tx.extensions + 1
-  end
-  else raise Conflict
-
-let rec tx_read : type a. tx -> a tvar -> a =
+let rec tx_read : type a. unit Txdesc.vtx -> a tvar -> a =
  fun tx tv ->
   let v1 = Atomic.get tv.vlock in
   if v1 land 1 = 1 then raise Conflict (* foreign encounter-time lock *)
@@ -316,38 +91,115 @@ let rec tx_read : type a. tx -> a tvar -> a =
       tx_read tx tv
     end
     else begin
-      if dedup_seen tx tv.id then tx.dedup_hits <- tx.dedup_hits + 1
-      else push_read tx tv.id tv.vlock v1;
+      if not (Readset.seen tx.rs tv.id) then
+        Readset.push tx.rs tv.id tv.vlock v1;
       value
     end
   end
-
-exception Ro_restart
 
 (* Zero-log read-only mode, identical to {!Tl2}'s: an odd vlock is a
    writer in its (here: potentially long) lock window — restart the
    closure rather than spin it out, since an encounter-time lock can
    be held for the writer's whole transaction. *)
-let ro_read : type a. domain_state -> a tvar -> a =
- fun state tv ->
+let ro_read : type a. int -> a tvar -> a =
+ fun rv tv ->
   let v1 = Atomic.get tv.vlock in
-  if v1 land 1 = 1 then raise Ro_restart
+  if v1 land 1 = 1 then raise Txdesc.Ro_restart
   else begin
     let value = tv.content in
     let v2 = Atomic.get tv.vlock in
-    if v1 <> v2 then raise Ro_restart
-    else if v1 > state.ro_rv then raise Ro_restart
-    else value
+    if v1 <> v2 || v1 > rv then raise Txdesc.Ro_restart else value
   end
 
+(* Acquire [tv]'s lock at encounter time. A foreign lock or a lost CAS
+   race is an immediate conflict (the early abort ETL is about); a
+   version newer than [rv] forces a timestamp extension first, so the
+   lock is always taken at a version within the validated snapshot. *)
+let rec acquire (tx : _ Txdesc.vtx) tv =
+  let v = Atomic.get tv.vlock in
+  if v land 1 = 1 then raise Conflict
+  else if v > tx.rv then begin
+    extend tx;
+    acquire tx tv
+  end
+  else if Atomic.compare_and_set tv.vlock v (v + 1) then v
+  else raise Conflict
+
+(* Full rollback: restore journalled contents in reverse (the
+   first-write entry lands last), then release every held lock back at
+   its acquisition version. Restore-before-release matters: once the
+   vlock returns to an even value, foreign readers will use the
+   content. Clears the lock table — the caller must not release
+   again. *)
+let rollback (tx : _ Txdesc.vtx) =
+  Checkpoint.undo_to tx.ck ~from:0 ~restore:undo_restore;
+  Checkpoint.unlock tx.ck ~from:0;
+  Hashtbl.reset tx.writes;
+  tx.wbloom <- 0
+
+(* Commit: values are already in place and every written tvar is
+   locked, so all that is left is read validation (skippable iff our
+   clock tick proves nothing else committed since [rv]) and releasing
+   the locks at the new write version. A validation failure leaves the
+   locks HELD and raises — the [atomic] conflict handler owns the
+   rollback, because it may instead salvage a checkpointed prefix. *)
+let commit (tx : _ Txdesc.vtx) =
+  if Hashtbl.length tx.writes = 0 then
+    Stm_stats.record_commit global_stats ~read_only:true
+  else begin
+    let wv, unique =
+      match Global_clock.tick_or_reuse clock with
+      | Ticked wv -> (wv, true)
+      | Reused wv ->
+        Stm_stats.record_clock_reuse global_stats;
+        (wv, false)
+    in
+    if
+      not (unique && wv = tx.rv + 2)
+      && not (Readset.valid tx.rs ~own_locks:true tx.writes)
+    then raise Conflict;
+    Checkpoint.publish tx.ck wv;
+    Hashtbl.reset tx.writes;
+    Checkpoint.clear_undo tx.ck;
+    Stm_stats.record_commit global_stats ~read_only:false
+  end
+
+let engine =
+  Txdesc.create global_stats
+    {
+      fresh = Txdesc.fresh_vtx;
+      scrub = Txdesc.scrub_vtx;
+      (* Precondition: no locks held and no live undo entries (commit
+         or rollback ran). *)
+      reset = Txdesc.reset_vtx clock;
+      commit;
+      (* Partial abort. Unlike TL2, this can run with encounter-time
+         locks (including the commit-failure path's) still held: the
+         prefix validation is own-lock aware, the undo suffix restores
+         in-place stores past the chosen mark, and exactly the locks
+         acquired past the mark are released and dropped — pre-mark
+         locks stay held for the resumed attempt. *)
+      salvage =
+        Txdesc.salvage_vtx global_stats clock ~own_locks:true ~blind:false
+          ~restore:undo_restore;
+      (* Conflicts can arrive with encounter-time locks held (from
+         [acquire], [extend] and commit validation alike): when no
+         checkpointed prefix can be salvaged, everything is rolled
+         back. *)
+      rollback;
+      flush = Txdesc.flush_vtx global_stats;
+    }
+
+let in_transaction () = Txdesc.in_transaction engine
+
 let read tv =
-  let state = current () in
+  let state = Txdesc.state engine in
   match state.active with
-  | None -> if state.ro_rv >= 0 then ro_read state tv else tv.content
+  | None -> if state.ro_rv >= 0 then ro_read state.ro_rv tv else tv.content
   | Some tx ->
     if tx.wbloom = 0 then tx_read tx tv
     else begin
-      let bits = bloom_bit tv.id in
+      let bits = Checkpoint.bloom_bit tv.id in
       if tx.wbloom land bits <> bits then begin
         tx.bloom_skips <- tx.bloom_skips + 1;
         tx_read tx tv
@@ -359,36 +211,8 @@ let read tv =
       else tx_read tx tv (* bloom false positive *)
     end
 
-let push_undo tx tv_r saved =
-  if tx.nundo = Array.length tx.undo_tvs then begin
-    let cap = 2 * tx.nundo in
-    let tvs = Array.make cap undo_unset in
-    let vals = Array.make cap undo_unset in
-    Array.blit tx.undo_tvs 0 tvs 0 tx.nundo;
-    Array.blit tx.undo_vals 0 vals 0 tx.nundo;
-    tx.undo_tvs <- tvs;
-    tx.undo_vals <- vals
-  end;
-  tx.undo_tvs.(tx.nundo) <- tv_r;
-  tx.undo_vals.(tx.nundo) <- saved;
-  tx.nundo <- tx.nundo + 1
-
-(* Acquire [tv]'s lock at encounter time. A foreign lock or a lost CAS
-   race is an immediate conflict (the early abort ETL is about); a
-   version newer than [rv] forces a timestamp extension first, so the
-   lock is always taken at a version within the validated snapshot. *)
-let rec acquire tx tv =
-  let v = Atomic.get tv.vlock in
-  if v land 1 = 1 then raise Conflict
-  else if v > tx.rv then begin
-    extend tx;
-    acquire tx tv
-  end
-  else if Atomic.compare_and_set tv.vlock v (v + 1) then v
-  else raise Conflict
-
 let write tv v =
-  let state = current () in
+  let state = Txdesc.state engine in
   match state.active with
   | None ->
     if state.ro_rv >= 0 then raise Stm_intf.Write_in_read_only
@@ -397,284 +221,26 @@ let write tv v =
     if owns tx tv.id then begin
       (* Re-store through a lock already held: journal the overwritten
          value only if a checkpoint might roll back to it. *)
-      if tx.nmarks > 0 then
-        push_undo tx (undo_capture_tv tv) (undo_capture_val tv);
+      if Checkpoint.armed tx.ck then journal tx.ck tv;
       tv.content <- v
     end
     else begin
-      let locked_from = acquire tx tv in
-      Hashtbl.add tx.writes tv.id (W { tv; locked_from });
-      tx.wbloom <- tx.wbloom lor bloom_bit tv.id;
-      if tx.nwlog = Array.length tx.wlog then begin
-        let bigger = Array.make (2 * tx.nwlog) 0 in
-        Array.blit tx.wlog 0 bigger 0 tx.nwlog;
-        tx.wlog <- bigger
-      end;
-      tx.wlog.(tx.nwlog) <- tv.id;
-      tx.nwlog <- tx.nwlog + 1;
+      let from = acquire tx tv in
+      Hashtbl.add tx.writes tv.id ();
+      tx.wbloom <- tx.wbloom lor Checkpoint.bloom_bit tv.id;
+      Checkpoint.log_write tx.ck tv.id tv.vlock ~from;
       (* First write always journals: any abort must restore this. *)
-      push_undo tx (undo_capture_tv tv) (undo_capture_val tv);
+      journal tx.ck tv;
       tv.content <- v
     end
-
-(* Full rollback: restore journalled contents in reverse (the
-   first-write entry lands last), then release every held lock back at
-   its acquisition version. Restore-before-release matters: once the
-   vlock returns to an even value, foreign readers will use the
-   content. Clears the lock table — the caller must not release
-   again. *)
-let rollback tx =
-  for j = tx.nundo - 1 downto 0 do
-    undo_restore tx.undo_tvs.(j) tx.undo_vals.(j);
-    tx.undo_tvs.(j) <- undo_unset;
-    tx.undo_vals.(j) <- undo_unset
-  done;
-  tx.nundo <- 0;
-  Hashtbl.iter
-    (fun _ (W w) -> Atomic.set w.tv.vlock w.locked_from)
-    tx.writes;
-  Hashtbl.reset tx.writes;
-  tx.wbloom <- 0;
-  tx.nwlog <- 0
-
-(* Commit: values are already in place and every written tvar is
-   locked, so all that is left is read validation (skippable iff our
-   clock tick proves nothing else committed since [rv]) and releasing
-   the locks at the new write version. A validation failure leaves the
-   locks HELD and raises — the [atomic] conflict handler owns the
-   rollback, because it may instead salvage a checkpointed prefix. *)
-let commit tx =
-  if Hashtbl.length tx.writes = 0 then
-    Stm_stats.record_commit global_stats ~read_only:true
-  else begin
-    let wv, unique =
-      match Global_clock.tick_or_reuse clock with
-      | Ticked wv -> (wv, true)
-      | Reused wv ->
-        Stm_stats.record_clock_reuse global_stats;
-        (wv, false)
-    in
-    if not (unique && wv = tx.rv + 2) && not (read_set_valid tx) then
-      raise Conflict;
-    Hashtbl.iter (fun _ (W w) -> Atomic.set w.tv.vlock wv) tx.writes;
-    Hashtbl.reset tx.writes;
-    Array.fill tx.undo_tvs 0 tx.nundo undo_unset;
-    Array.fill tx.undo_vals 0 tx.nundo undo_unset;
-    tx.nundo <- 0;
-    Stm_stats.record_commit global_stats ~read_only:false
-  end
-
-let flush_tx_stats tx =
-  Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-  Stm_stats.record_read_set global_stats ~size:tx.nreads;
-  Stm_stats.record_tx_log global_stats ~dedup_hits:tx.dedup_hits
-    ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions;
-  Stm_stats.record_checkpoints global_stats ~count:tx.ncheckpoints
-
-(* Precondition: no locks held and no live undo entries (commit or
-   rollback ran). *)
-let reset_tx tx =
-  tx.rv <- Global_clock.now clock;
-  tx.nreads <- 0;
-  tx.wbloom <- 0;
-  tx.nwlog <- 0;
-  tx.epoch <- tx.epoch + 1;
-  tx.validation_steps <- 0;
-  tx.dedup_hits <- 0;
-  tx.bloom_skips <- 0;
-  tx.extensions <- 0;
-  tx.nmarks <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0;
-  if Array.length tx.read_ids > 1 lsl 16 then begin
-    tx.read_ids <- Array.make initial_reads (-1);
-    tx.read_versions <- Array.make initial_reads 0;
-    tx.read_vlocks <- Array.make initial_reads dummy_vlock;
-    tx.dedup_ids <- Array.make initial_dedup (-1);
-    tx.dedup_epochs <- Array.make initial_dedup 0
-  end
 
 let partial_abort = true
 
-let checkpoint ~acc =
-  let state = current () in
-  match state.active with
-  | None -> ()
-  | Some tx ->
-    if !Stm_intf.partial_abort_enabled then begin
-      let n = tx.nmarks in
-      if n = Array.length tx.mark_reads then begin
-        let grow a = Array.append a (Array.make n 0) in
-        tx.mark_reads <- grow tx.mark_reads;
-        tx.mark_wlog <- grow tx.mark_wlog;
-        tx.mark_undo <- grow tx.mark_undo;
-        tx.mark_acc <- grow tx.mark_acc
-      end;
-      tx.mark_reads.(n) <- tx.nreads;
-      tx.mark_wlog.(n) <- tx.nwlog;
-      tx.mark_undo.(n) <- tx.nundo;
-      tx.mark_acc.(n) <- acc;
-      tx.nmarks <- n + 1;
-      tx.ncheckpoints <- tx.ncheckpoints + 1
-    end
-
-let resume () =
-  let state = current () in
-  match state.active with
-  | None -> (0, 0)
-  | Some tx -> (tx.resume_marks, tx.resume_acc)
-
-(* Partial abort. Unlike {!Tl2}, this can run with encounter-time
-   locks (including the commit-failure path's) still held: the prefix
-   validation is own-lock aware, the undo suffix restores in-place
-   stores past the chosen mark, and exactly the locks acquired past
-   the mark are released and dropped — pre-mark locks stay held for
-   the resumed attempt. *)
-let try_partial_rollback tx =
-  if tx.nmarks = 0 || not !Stm_intf.partial_abort_enabled then false
-  else begin
-    (* Clock sample BEFORE validating (same ordering as [extend]). *)
-    let now = Global_clock.now clock in
-    (* First invalid read position; everything before it is intact. *)
-    let p = ref 0 in
-    (try
-       while !p < tx.nreads do
-         let cur = Atomic.get tx.read_vlocks.(!p) in
-         let version = tx.read_versions.(!p) in
-         if
-           cur <> version
-           && not (cur = version + 1 && owns tx tx.read_ids.(!p))
-         then raise Exit;
-         incr p
-       done
-     with Exit -> ());
-    tx.validation_steps <- tx.validation_steps + !p + 1;
-    let m = ref (tx.nmarks - 1) in
-    while !m >= 0 && tx.mark_reads.(!m) > !p do
-      decr m
-    done;
-    let mark = !m in
-    if mark < 0 then begin
-      Stm_stats.record_resume_failure global_stats;
-      false
-    end
-    else begin
-      (* Restore the undo suffix first (it covers both the dropped
-         tvars' contents and post-mark overwrites of retained ones),
-         THEN release the post-mark locks: contents must be back
-         before a vlock goes even. *)
-      for j = tx.nundo - 1 downto tx.mark_undo.(mark) do
-        undo_restore tx.undo_tvs.(j) tx.undo_vals.(j);
-        tx.undo_tvs.(j) <- undo_unset;
-        tx.undo_vals.(j) <- undo_unset
-      done;
-      tx.nundo <- tx.mark_undo.(mark);
-      for j = tx.nwlog - 1 downto tx.mark_wlog.(mark) do
-        let id = tx.wlog.(j) in
-        (match Hashtbl.find_opt tx.writes id with
-        | Some (W w) -> Atomic.set w.tv.vlock w.locked_from
-        | None -> assert false);
-        Hashtbl.remove tx.writes id
-      done;
-      tx.nwlog <- tx.mark_wlog.(mark);
-      tx.nreads <- tx.mark_reads.(mark);
-      let bloom = ref 0 in
-      for j = 0 to tx.nwlog - 1 do
-        bloom := !bloom lor bloom_bit tx.wlog.(j)
-      done;
-      tx.wbloom <- !bloom;
-      tx.epoch <- tx.epoch + 1;
-      for i = 0 to tx.nreads - 1 do
-        let id = tx.read_ids.(i) in
-        tx.dedup_ids.(id land (Array.length tx.dedup_ids - 1)) <- id;
-        tx.dedup_epochs.(id land (Array.length tx.dedup_ids - 1)) <- tx.epoch
-      done;
-      tx.nmarks <- mark + 1;
-      tx.resume_marks <- mark + 1;
-      tx.resume_acc <- tx.mark_acc.(mark);
-      tx.rv <- now;
-      Stm_stats.record_partial_abort global_stats ~reads_salvaged:tx.nreads;
-      true
-    end
-  end
-
-let atomic f =
-  let state = current () in
-  if state.ro_rv >= 0 then f () (* nested inside [atomic_ro]: flatten *)
-  else
-    match state.active with
-    | Some _ -> f () (* nested: flatten *)
-    | None ->
-      let tx =
-        match state.spare with
-        | Some tx -> tx
-        | None -> acquire_tx state
-      in
-      let rec attempt ~fresh () =
-        if fresh then begin
-          reset_tx tx;
-          state.active <- Some tx
-        end;
-        match
-          let result = f () in
-          commit tx;
-          result
-        with
-        | result ->
-          state.active <- None;
-          flush_tx_stats tx;
-          Backoff.reset tx.backoff;
-          result
-        | exception Conflict ->
-          (* Conflicts can arrive with encounter-time locks held (from
-             [acquire], [extend] and commit validation alike): either
-             salvage a checkpointed prefix — which releases only the
-             post-mark locks — or roll everything back. *)
-          if try_partial_rollback tx then attempt ~fresh:false ()
-          else begin
-            rollback tx;
-            state.active <- None;
-            flush_tx_stats tx;
-            Stm_stats.record_abort global_stats;
-            Backoff.once tx.backoff;
-            attempt ~fresh:true ()
-          end
-        | exception exn ->
-          (* The rv check on every read gives opacity: the view that
-             produced [exn] was consistent. Restore the in-place
-             stores, release the locks, propagate. *)
-          rollback tx;
-          state.active <- None;
-          flush_tx_stats tx;
-          raise exn
-      in
-      attempt ~fresh:true ()
-
-let atomic_ro f =
-  let state = current () in
-  if state.ro_rv >= 0 then f () (* nested ro: flatten *)
-  else
-    match state.active with
-    | Some _ -> f () (* inside an update transaction: flatten *)
-    | None ->
-      let rec attempt () =
-        state.ro_rv <- Global_clock.now clock;
-        match f () with
-        | result ->
-          state.ro_rv <- -1;
-          Stm_stats.record_ro_commit global_stats;
-          result
-        | exception Ro_restart ->
-          state.ro_rv <- -1;
-          Stm_stats.record_ro_revalidation global_stats;
-          attempt ()
-        | exception exn ->
-          state.ro_rv <- -1;
-          raise exn
-      in
-      attempt ()
-
+let checkpoint ~acc = Txdesc.checkpoint engine ~acc
+let resume () = Txdesc.resume engine
+let atomic f = Txdesc.atomic engine f
+let now () = Global_clock.now clock
+let atomic_ro f = Txdesc.atomic_ro engine ~snapshot:now f
 let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
 
 let stats () = Stm_stats.snapshot global_stats

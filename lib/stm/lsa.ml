@@ -47,70 +47,13 @@ type 'a tvar = {
   mutable head : int; (* index of the newest entry *)
 }
 
-type wentry =
-  | W : {
-      tv : 'a tvar;
-      value : 'a ref;
-      mutable locked_from : int;
-      mutable locked : bool;
-    }
-      -> wentry
+type wentry = W : { tv : 'a tvar; value : 'a ref } -> wentry
 
+(* Same id-equality justification as [Tl2.cast_ref]. *)
 let cast_ref : type a. a tvar -> wentry -> a ref =
  fun tv (W w) ->
   assert (w.tv.id = tv.id);
   (Obj.magic w.value : a ref)
-
-(* Structure-of-arrays read set and Obj-paired undo log; see the twin
-   comments in Tl2 — the layouts, growth and scrub discipline are
-   identical, and the coercions carry the same justification. *)
-let dummy_vlock : int Atomic.t = Atomic.make 0
-let undo_unset : Obj.t = Obj.repr 0
-
-let undo_capture_slot : 'a ref -> Obj.t = fun slot -> Obj.repr slot
-let undo_capture_val : 'a ref -> Obj.t = fun slot -> Obj.repr !slot
-let undo_restore (slot : Obj.t) (v : Obj.t) = (Obj.obj slot : Obj.t ref) := v
-
-type mode =
-  | Update
-  | Snapshot
-
-type tx = {
-  mutable mode : mode;
-  mutable rv : int;
-  mutable read_ids : int array;
-  mutable read_versions : int array;
-  mutable read_vlocks : int Atomic.t array;
-  mutable nreads : int;
-  (* Read-set dedup cache; see the twin comment in Tl2. *)
-  mutable dedup_ids : int array;
-  mutable dedup_epochs : int array;
-  mutable epoch : int;
-  writes : (int, wentry) Hashtbl.t;
-  mutable wbloom : int;
-  (* Mutable so a recycled descriptor can be reseeded per domain. *)
-  mutable backoff : Backoff.t;
-  mutable validation_steps : int;
-  mutable dedup_hits : int;
-  mutable bloom_skips : int;
-  mutable extensions : int;
-  (* Checkpoint / partial-abort state (update mode only; snapshot
-     transactions never validate, so checkpointing them is a no-op).
-     Same layout as Tl2. *)
-  mutable mark_reads : int array;
-  mutable mark_wlog : int array;
-  mutable mark_undo : int array;
-  mutable mark_acc : int array;
-  mutable nmarks : int;
-  mutable wlog : int array;
-  mutable nwlog : int;
-  mutable undo_slots : Obj.t array;
-  mutable undo_vals : Obj.t array;
-  mutable nundo : int;
-  mutable ncheckpoints : int;
-  mutable resume_marks : int;
-  mutable resume_acc : int;
-}
 
 let clock = Global_clock.create ()
 let global_stats = Stm_stats.create ()
@@ -129,123 +72,6 @@ let make v =
     head = 0;
   }
 
-let initial_reads = 64
-let initial_dedup = 2 * initial_reads
-
-let fresh_tx () =
-  {
-    mode = Update;
-    rv = 0;
-    read_ids = Array.make initial_reads (-1);
-    read_versions = Array.make initial_reads 0;
-    read_vlocks = Array.make initial_reads dummy_vlock;
-    nreads = 0;
-    dedup_ids = Array.make initial_dedup (-1);
-    dedup_epochs = Array.make initial_dedup 0;
-    epoch = 0;
-    writes = Hashtbl.create 64;
-    wbloom = 0;
-    backoff = Backoff.for_domain ();
-    validation_steps = 0;
-    dedup_hits = 0;
-    bloom_skips = 0;
-    extensions = 0;
-    mark_reads = Array.make 16 0;
-    mark_wlog = Array.make 16 0;
-    mark_undo = Array.make 16 0;
-    mark_acc = Array.make 16 0;
-    nmarks = 0;
-    wlog = Array.make 16 0;
-    nwlog = 0;
-    undo_slots = Array.make 16 undo_unset;
-    undo_vals = Array.make 16 undo_unset;
-    nundo = 0;
-    ncheckpoints = 0;
-    resume_marks = 0;
-    resume_acc = 0;
-  }
-
-let bloom_bit id =
-  let h = id * 0x9E3779B9 in
-  (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)))
-
-type domain_state = {
-  mutable active : tx option;
-  mutable spare : tx option;
-}
-
-let current_key : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { active = None; spare = None })
-
-let current () = Domain.DLS.get current_key
-
-(* Descriptor free pool; same design as Tl2's (scrub-on-release,
-   at-exit donation, pool pop or fresh allocation on a domain's first
-   transaction, backoff reseed on adoption). *)
-let pool_lock = Mutex.create ()
-let pool : tx list ref = ref []
-
-let scrub_tx tx =
-  Hashtbl.reset tx.writes;
-  Array.fill tx.read_vlocks 0 (Array.length tx.read_vlocks) dummy_vlock;
-  Array.fill tx.undo_slots 0 (Array.length tx.undo_slots) undo_unset;
-  Array.fill tx.undo_vals 0 (Array.length tx.undo_vals) undo_unset;
-  tx.nreads <- 0;
-  tx.nundo <- 0;
-  tx.nwlog <- 0;
-  tx.nmarks <- 0;
-  tx.wbloom <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0
-
-let release_spare state =
-  match state.spare with
-  | None -> ()
-  | Some tx ->
-    state.spare <- None;
-    scrub_tx tx;
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      pool := tx :: !pool;
-      Mutex.unlock pool_lock
-    end
-
-let acquire_tx state =
-  let tx =
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      let popped =
-        match !pool with
-        | tx :: rest ->
-          pool := rest;
-          Some tx
-        | [] -> None
-      in
-      Mutex.unlock pool_lock;
-      match popped with
-      | Some tx ->
-        Stm_stats.record_pool_hit global_stats;
-        tx.backoff <- Backoff.for_domain ();
-        tx
-      | None ->
-        Stm_stats.record_pool_miss global_stats;
-        fresh_tx ()
-    end
-    else begin
-      Stm_stats.record_pool_miss global_stats;
-      fresh_tx ()
-    end
-  in
-  state.spare <- Some tx;
-  Domain.at_exit (fun () -> release_spare state);
-  tx
-
-let in_transaction () =
-  match (current ()).active with
-  | None -> false
-  | Some _ -> true
-
 let head_value tv = tv.values.(tv.head)
 
 let next_slot h = if h + 1 = history_depth then 0 else h + 1
@@ -258,68 +84,6 @@ let append_version : type a. a tvar -> int -> a -> unit =
   tv.values.(h) <- v;
   tv.head <- h
 
-let dedup_seen tx id =
-  let slot = id land (Array.length tx.dedup_ids - 1) in
-  if tx.dedup_epochs.(slot) = tx.epoch && tx.dedup_ids.(slot) = id then true
-  else begin
-    tx.dedup_ids.(slot) <- id;
-    tx.dedup_epochs.(slot) <- tx.epoch;
-    false
-  end
-
-let push_read tx id vlock version =
-  let n = tx.nreads in
-  if n = Array.length tx.read_ids then begin
-    let cap = 2 * n in
-    let rids = Array.make cap (-1) in
-    let versions = Array.make cap 0 in
-    let vlocks = Array.make cap dummy_vlock in
-    Array.blit tx.read_ids 0 rids 0 n;
-    Array.blit tx.read_versions 0 versions 0 n;
-    Array.blit tx.read_vlocks 0 vlocks 0 n;
-    tx.read_ids <- rids;
-    tx.read_versions <- versions;
-    tx.read_vlocks <- vlocks;
-    let size = 2 * Array.length tx.dedup_ids in
-    let ids = Array.make size (-1) and epochs = Array.make size tx.epoch in
-    for i = 0 to n - 1 do
-      let id = rids.(i) in
-      ids.(id land (size - 1)) <- id
-    done;
-    ids.(id land (size - 1)) <- id;
-    tx.dedup_ids <- ids;
-    tx.dedup_epochs <- epochs
-  end;
-  tx.read_ids.(n) <- id;
-  tx.read_versions.(n) <- version;
-  tx.read_vlocks.(n) <- vlock;
-  tx.nreads <- n + 1
-
-let read_set_valid tx ~own_locks =
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < tx.nreads do
-    let cur = Atomic.get tx.read_vlocks.(!i) in
-    let version = tx.read_versions.(!i) in
-    if cur <> version then
-      if
-        not
-          (own_locks && cur = version + 1
-          && Hashtbl.mem tx.writes tx.read_ids.(!i))
-      then ok := false;
-    incr i
-  done;
-  tx.validation_steps <- tx.validation_steps + !i;
-  !ok
-
-let extend tx =
-  let now = Global_clock.now clock in
-  if read_set_valid tx ~own_locks:false then begin
-    tx.rv <- now;
-    tx.extensions <- tx.extensions + 1
-  end
-  else raise Conflict
-
 (* Snapshot read: the newest version no newer than [rv]. The vlock
    sandwich makes the ring access consistent: a committer holds the
    lock (odd) while it mutates the ring, so equal even vlock values
@@ -327,43 +91,43 @@ let extend tx =
    version of the head slot, so the overwhelmingly common case
    (newest version old enough) needs no ring scan at all: one head
    load, one value load, re-check the vlock. *)
-let rec snapshot_read : type a. tx -> a tvar -> a =
- fun tx tv ->
+let rec snapshot_read : type a. int -> a tvar -> a =
+ fun rv tv ->
   let v1 = Atomic.get tv.vlock in
   if v1 land 1 = 1 then begin
     (* A committer holds the lock; its write will carry a version
        newer than rv, so the pre-lock history suffices — spin briefly
        for the consistent pair. *)
     Domain.cpu_relax ();
-    snapshot_read tx tv
+    snapshot_read rv tv
   end
-  else if v1 <= tx.rv then begin
+  else if v1 <= rv then begin
     let value = tv.values.(tv.head) in
     let v2 = Atomic.get tv.vlock in
-    if v1 = v2 then value else snapshot_read tx tv
+    if v1 = v2 then value else snapshot_read rv tv
   end
-  else snapshot_scan tx tv v1
+  else snapshot_scan rv tv v1
 
 (* Slow path: the newest version is too new — scan the ring
    newest-to-oldest for one no newer than [rv]. *)
-and snapshot_scan : type a. tx -> a tvar -> int -> a =
- fun tx tv v1 ->
+and snapshot_scan : type a. int -> a tvar -> int -> a =
+ fun rv tv v1 ->
   let rec find i =
     if i = history_depth then -1
     else begin
       let idx = tv.head - i in
       let idx = if idx < 0 then idx + history_depth else idx in
-      if tv.versions.(idx) <= tx.rv then idx else find (i + 1)
+      if tv.versions.(idx) <= rv then idx else find (i + 1)
     end
   in
   let idx = find 0 in
   let value = tv.values.(if idx >= 0 then idx else 0) in
   let v2 = Atomic.get tv.vlock in
-  if v1 <> v2 then snapshot_read tx tv
+  if v1 <> v2 then snapshot_read rv tv
   else if idx >= 0 then value
   else raise Conflict (* evicted: every live version is newer than rv *)
 
-let rec update_read : type a. tx -> a tvar -> a =
+let rec update_read : type a. wentry Txdesc.vtx -> a tvar -> a =
  fun tx tv ->
   let v1 = Atomic.get tv.vlock in
   if v1 land 1 = 1 then raise Conflict
@@ -372,39 +136,91 @@ let rec update_read : type a. tx -> a tvar -> a =
     let v2 = Atomic.get tv.vlock in
     if v1 <> v2 then raise Conflict
     else if v1 > tx.rv then begin
-      extend tx;
+      Txdesc.extend clock ~own_locks:false tx;
       update_read tx tv
     end
     else begin
-      (* Dedup-hit soundness: identical argument to Tl2.tx_read. *)
-      if dedup_seen tx tv.id then tx.dedup_hits <- tx.dedup_hits + 1
-      else push_read tx tv.id tv.vlock v1;
+      if not (Readset.seen tx.rs tv.id) then
+        Readset.push tx.rs tv.id tv.vlock v1;
       value
     end
   end
 
+let commit (tx : _ Txdesc.vtx) =
+  if Hashtbl.length tx.writes = 0 then
+    Stm_stats.record_commit global_stats ~read_only:true
+  else begin
+    Checkpoint.lock_writes tx.ck;
+    (* Same GV4-style advance as Tl2.commit: single CAS attempt after
+       the locks; a reused value always validates. *)
+    let wv, unique =
+      match Global_clock.tick_or_reuse clock with
+      | Ticked wv -> (wv, true)
+      | Reused wv ->
+        Stm_stats.record_clock_reuse global_stats;
+        (wv, false)
+    in
+    if
+      not (unique && wv = tx.rv + 2)
+      && not (Readset.valid tx.rs ~own_locks:true tx.writes)
+    then begin
+      Checkpoint.unlock tx.ck ~from:0;
+      raise Conflict
+    end;
+    Hashtbl.iter (fun _ (W w) -> append_version w.tv wv !(w.value)) tx.writes;
+    Checkpoint.publish tx.ck wv;
+    Stm_stats.record_commit global_stats ~read_only:false
+  end
+
+(* Update transactions use the shared versioned descriptor
+   ({!Txdesc.vtx}) over a lazy write buffer and salvage exactly like
+   TL2. Snapshot transactions need no descriptor at all: they run in
+   the engine's read-only mode, where the read version is all a
+   snapshot read consults, and their only conflicts (ring evictions)
+   always full-abort. *)
+let engine =
+  Txdesc.create global_stats
+    {
+      fresh = Txdesc.fresh_vtx;
+      scrub = Txdesc.scrub_vtx;
+      reset = Txdesc.reset_vtx clock;
+      commit;
+      salvage =
+        Txdesc.salvage_vtx global_stats clock ~own_locks:false ~blind:false
+          ~restore:Checkpoint.restore_ref;
+      rollback = ignore;
+      flush = Txdesc.flush_vtx global_stats;
+    }
+
+let in_transaction () = Txdesc.in_transaction engine
+
 let read tv =
-  match (current ()).active with
-  | None -> head_value tv
-  | Some tx -> (
-    match tx.mode with
-    | Snapshot -> snapshot_read tx tv
-    | Update ->
-      if tx.wbloom = 0 then update_read tx tv
-      else begin
-        let bits = bloom_bit tv.id in
-        if tx.wbloom land bits <> bits then begin
-          tx.bloom_skips <- tx.bloom_skips + 1;
-          update_read tx tv
-        end
-        else
-          match Hashtbl.find_opt tx.writes tv.id with
-          | Some entry -> !(cast_ref tv entry)
-          | None -> update_read tx tv
-      end)
+  let state = Txdesc.state engine in
+  match state.active with
+  | None -> if state.ro_rv >= 0 then snapshot_read state.ro_rv tv else head_value tv
+  | Some tx ->
+    if tx.wbloom = 0 then update_read tx tv
+    else begin
+      let bits = Checkpoint.bloom_bit tv.id in
+      if tx.wbloom land bits <> bits then begin
+        tx.bloom_skips <- tx.bloom_skips + 1;
+        update_read tx tv
+      end
+      else
+        match Hashtbl.find_opt tx.writes tv.id with
+        | Some entry -> !(cast_ref tv entry)
+        | None -> update_read tx tv
+    end
 
 let write tv v =
-  match (current ()).active with
+  let state = Txdesc.state engine in
+  match state.active with
+  | None when state.ro_rv >= 0 ->
+    (* The snapshot stays valid — nothing was mutated — so raising
+       here lets the runtime dispatch layer catch the signal and
+       re-run the operation as an update transaction (adaptive
+       demotion) instead of crashing on a mis-declared profile. *)
+    raise Stm_intf.Write_in_read_only
   | None ->
     (* A non-transactional store must still look like a committed
        version: overwriting the head slot in place would let a
@@ -425,276 +241,27 @@ let write tv v =
     append_version tv wv v;
     Atomic.set tv.vlock wv
   | Some tx -> (
-    match tx.mode with
-    | Snapshot ->
-      (* The snapshot stays valid — nothing was mutated — so raising
-         here lets the runtime dispatch layer catch the signal and
-         re-run the operation as an update transaction (adaptive
-         demotion) instead of crashing on a mis-declared profile. *)
-      raise Stm_intf.Write_in_read_only
-    | Update -> (
-      match Hashtbl.find_opt tx.writes tv.id with
-      | Some entry ->
-        let slot = cast_ref tv entry in
-        if tx.nmarks > 0 then begin
-          if tx.nundo = Array.length tx.undo_slots then begin
-            let cap = 2 * tx.nundo in
-            let slots = Array.make cap undo_unset in
-            let vals = Array.make cap undo_unset in
-            Array.blit tx.undo_slots 0 slots 0 tx.nundo;
-            Array.blit tx.undo_vals 0 vals 0 tx.nundo;
-            tx.undo_slots <- slots;
-            tx.undo_vals <- vals
-          end;
-          tx.undo_slots.(tx.nundo) <- undo_capture_slot slot;
-          tx.undo_vals.(tx.nundo) <- undo_capture_val slot;
-          tx.nundo <- tx.nundo + 1
-        end;
-        slot := v
-      | None ->
-        tx.wbloom <- tx.wbloom lor bloom_bit tv.id;
-        Hashtbl.add tx.writes tv.id
-          (W { tv; value = ref v; locked_from = 0; locked = false });
-        if tx.nwlog = Array.length tx.wlog then begin
-          let bigger = Array.make (2 * tx.nwlog) 0 in
-          Array.blit tx.wlog 0 bigger 0 tx.nwlog;
-          tx.wlog <- bigger
-        end;
-        tx.wlog.(tx.nwlog) <- tv.id;
-        tx.nwlog <- tx.nwlog + 1))
-
-let unlock_acquired tx =
-  Hashtbl.iter
-    (fun _ (W w) ->
-      if w.locked then begin
-        Atomic.set w.tv.vlock w.locked_from;
-        w.locked <- false
-      end)
-    tx.writes
-
-let lock_write_set tx =
-  try
-    Hashtbl.iter
-      (fun _ (W w) ->
-        let v = Atomic.get w.tv.vlock in
-        if v land 1 = 1 || not (Atomic.compare_and_set w.tv.vlock v (v + 1))
-        then raise Exit
-        else begin
-          w.locked_from <- v;
-          w.locked <- true
-        end)
-      tx.writes
-  with Exit ->
-    unlock_acquired tx;
-    raise Conflict
-
-let commit tx =
-  if Hashtbl.length tx.writes = 0 then begin
-    match tx.mode with
-    | Snapshot ->
-      (* Snapshot commits are LSA's zero-log read-only fast path: no
-         read set was kept, no validation ran. *)
-      Stm_stats.record_ro_commit global_stats
-    | Update -> Stm_stats.record_commit global_stats ~read_only:true
-  end
-  else begin
-    lock_write_set tx;
-    (* Same GV4-style advance as Tl2.commit: single CAS attempt after
-       the locks; a reused value always validates. *)
-    let wv, unique =
-      match Global_clock.tick_or_reuse clock with
-      | Ticked wv -> (wv, true)
-      | Reused wv ->
-        Stm_stats.record_clock_reuse global_stats;
-        (wv, false)
-    in
-    if
-      not (unique && wv = tx.rv + 2)
-      && not (read_set_valid tx ~own_locks:true)
-    then begin
-      unlock_acquired tx;
-      raise Conflict
-    end;
-    Hashtbl.iter
-      (fun _ (W w) ->
-        append_version w.tv wv !(w.value);
-        w.locked <- false;
-        Atomic.set w.tv.vlock wv)
-      tx.writes;
-    Stm_stats.record_commit global_stats ~read_only:false
-  end
-
-let flush_tx_stats tx =
-  Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-  Stm_stats.record_read_set global_stats ~size:tx.nreads;
-  Stm_stats.record_tx_log global_stats ~dedup_hits:tx.dedup_hits
-    ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions;
-  Stm_stats.record_checkpoints global_stats ~count:tx.ncheckpoints
-
-let reset_tx tx mode =
-  tx.mode <- mode;
-  tx.rv <- Global_clock.now clock;
-  tx.nreads <- 0;
-  Hashtbl.reset tx.writes;
-  tx.wbloom <- 0;
-  tx.epoch <- tx.epoch + 1;
-  tx.validation_steps <- 0;
-  tx.dedup_hits <- 0;
-  tx.bloom_skips <- 0;
-  tx.extensions <- 0;
-  tx.nmarks <- 0;
-  tx.nwlog <- 0;
-  Array.fill tx.undo_slots 0 tx.nundo undo_unset;
-  Array.fill tx.undo_vals 0 tx.nundo undo_unset;
-  tx.nundo <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0;
-  (* Same shrink guard as Tl2.reset_tx (64-entry floor, 2^16 ceiling),
-     dedup cache shrinking symmetrically. *)
-  if Array.length tx.read_ids > 1 lsl 16 then begin
-    tx.read_ids <- Array.make initial_reads (-1);
-    tx.read_versions <- Array.make initial_reads 0;
-    tx.read_vlocks <- Array.make initial_reads dummy_vlock;
-    tx.dedup_ids <- Array.make initial_dedup (-1);
-    tx.dedup_epochs <- Array.make initial_dedup 0
-  end
+    match Hashtbl.find_opt tx.writes tv.id with
+    | Some entry ->
+      let slot = cast_ref tv entry in
+      if Checkpoint.armed tx.ck then Checkpoint.save_ref tx.ck slot;
+      slot := v
+    | None ->
+      tx.wbloom <- tx.wbloom lor Checkpoint.bloom_bit tv.id;
+      Hashtbl.add tx.writes tv.id (W { tv; value = ref v });
+      Checkpoint.log_write tx.ck tv.id tv.vlock ~from:0)
 
 let partial_abort = true
 
-(* Checkpoint / resume / partial rollback: the update-mode machinery is
-   the same ordered-watermark design as Tl2 (see the comments there);
-   snapshot transactions never validate, so [checkpoint] ignores them
-   and their conflicts (ring evictions) always full-abort. *)
-let checkpoint ~acc =
-  let state = current () in
-  match state.active with
-  | None -> ()
-  | Some tx ->
-    if tx.mode = Update && !Stm_intf.partial_abort_enabled then begin
-      let n = tx.nmarks in
-      if n = Array.length tx.mark_reads then begin
-        let grow a = Array.append a (Array.make n 0) in
-        tx.mark_reads <- grow tx.mark_reads;
-        tx.mark_wlog <- grow tx.mark_wlog;
-        tx.mark_undo <- grow tx.mark_undo;
-        tx.mark_acc <- grow tx.mark_acc
-      end;
-      tx.mark_reads.(n) <- tx.nreads;
-      tx.mark_wlog.(n) <- tx.nwlog;
-      tx.mark_undo.(n) <- tx.nundo;
-      tx.mark_acc.(n) <- acc;
-      tx.nmarks <- n + 1;
-      tx.ncheckpoints <- tx.ncheckpoints + 1
-    end
-
-let resume () =
-  let state = current () in
-  match state.active with
-  | None -> (0, 0)
-  | Some tx -> (tx.resume_marks, tx.resume_acc)
-
-let try_partial_rollback tx =
-  if tx.nmarks = 0 || not !Stm_intf.partial_abort_enabled then false
-  else begin
-    let now = Global_clock.now clock in
-    let p = ref 0 in
-    (try
-       while !p < tx.nreads do
-         if Atomic.get tx.read_vlocks.(!p) <> tx.read_versions.(!p) then
-           raise Exit;
-         incr p
-       done
-     with Exit -> ());
-    tx.validation_steps <- tx.validation_steps + !p + 1;
-    let mark = ref (tx.nmarks - 1) in
-    while !mark >= 0 && tx.mark_reads.(!mark) > !p do
-      decr mark
-    done;
-    let mark = !mark in
-    if mark < 0 then begin
-      Stm_stats.record_resume_failure global_stats;
-      false
-    end
-    else begin
-      tx.nreads <- tx.mark_reads.(mark);
-      for j = tx.nwlog - 1 downto tx.mark_wlog.(mark) do
-        Hashtbl.remove tx.writes tx.wlog.(j)
-      done;
-      tx.nwlog <- tx.mark_wlog.(mark);
-      for j = tx.nundo - 1 downto tx.mark_undo.(mark) do
-        undo_restore tx.undo_slots.(j) tx.undo_vals.(j);
-        tx.undo_slots.(j) <- undo_unset;
-        tx.undo_vals.(j) <- undo_unset
-      done;
-      tx.nundo <- tx.mark_undo.(mark);
-      let bloom = ref 0 in
-      for j = 0 to tx.nwlog - 1 do
-        bloom := !bloom lor bloom_bit tx.wlog.(j)
-      done;
-      tx.wbloom <- !bloom;
-      tx.epoch <- tx.epoch + 1;
-      for i = 0 to tx.nreads - 1 do
-        let id = tx.read_ids.(i) in
-        tx.dedup_ids.(id land (Array.length tx.dedup_ids - 1)) <- id;
-        tx.dedup_epochs.(id land (Array.length tx.dedup_ids - 1)) <- tx.epoch
-      done;
-      tx.nmarks <- mark + 1;
-      tx.resume_marks <- mark + 1;
-      tx.resume_acc <- tx.mark_acc.(mark);
-      tx.rv <- now;
-      Stm_stats.record_partial_abort global_stats ~reads_salvaged:tx.nreads;
-      true
-    end
-  end
-
-let atomic_in_mode mode f =
-  let state = current () in
-  match state.active with
-  | Some _ -> f () (* nested: flatten *)
-  | None ->
-    let tx =
-      match state.spare with
-      | Some tx -> tx
-      | None -> acquire_tx state
-    in
-    let rec attempt ~fresh () =
-      if fresh then begin
-        reset_tx tx mode;
-        state.active <- Some tx
-      end;
-      match
-        let result = f () in
-        commit tx;
-        result
-      with
-      | result ->
-        state.active <- None;
-        flush_tx_stats tx;
-        Backoff.reset tx.backoff;
-        result
-      | exception Conflict ->
-        if try_partial_rollback tx then attempt ~fresh:false ()
-        else begin
-          state.active <- None;
-          flush_tx_stats tx;
-          Stm_stats.record_abort global_stats;
-          Backoff.once tx.backoff;
-          attempt ~fresh:true ()
-        end
-      | exception exn ->
-        state.active <- None;
-        flush_tx_stats tx;
-        raise exn
-    in
-    attempt ~fresh:true ()
-
-let atomic f = atomic_in_mode Update f
+let checkpoint ~acc = Txdesc.checkpoint engine ~acc
+let resume () = Txdesc.resume engine
+let atomic f = Txdesc.atomic engine f
+let now () = Global_clock.now clock
 
 (** Run a read-only transaction against a consistent snapshot: no
     validation, no conflicts with concurrent committers. [f] must not
     call {!write} — doing so raises [Stm_intf.Write_in_read_only]. *)
-let atomic_snapshot f = atomic_in_mode Snapshot f
+let atomic_snapshot f = Txdesc.atomic_ro engine ~snapshot:now f
 
 (* Multi-version snapshots are LSA's native read-only mode, so
    [atomic_ro] is the snapshot mode. Unlike TL2 there are no inline

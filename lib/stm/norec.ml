@@ -95,107 +95,12 @@ type tx = {
   mutable nreads : int;
   writes : (int, wentry) Hashtbl.t;
   mutable wbloom : int; (* word-sized bloom over buffered tvar ids *)
-  (* Mutable so a recycled descriptor can be reseeded per domain. *)
-  mutable backoff : Backoff.t;
   mutable validation_steps : int;
   mutable bloom_skips : int;
   mutable extensions : int; (* value revalidations that advanced rv *)
 }
 
 let initial_reads = 64
-
-let fresh_tx () =
-  {
-    rv = 0;
-    read_tvs = Array.make initial_reads read_unset;
-    read_seen = Array.make initial_reads read_unset;
-    nreads = 0;
-    writes = Hashtbl.create 64;
-    wbloom = 0;
-    backoff = Backoff.for_domain ();
-    validation_steps = 0;
-    bloom_skips = 0;
-    extensions = 0;
-  }
-
-(* Same two-bit word bloom as {!Tl2}. *)
-let bloom_bit id =
-  let h = id * 0x9E3779B9 in
-  (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)))
-
-type domain_state = {
-  mutable active : tx option;
-  mutable spare : tx option;
-  mutable ro_rv : int; (* snapshot of a zero-log read-only tx, or -1 *)
-}
-
-let current_key : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { active = None; spare = None; ro_rv = -1 })
-
-let current () = Domain.DLS.get current_key
-
-(* Descriptor free pool; same design as Tl2's (scrub-on-release,
-   at-exit donation, pool pop or fresh allocation on a domain's first
-   transaction, backoff reseed on adoption). *)
-let pool_lock = Mutex.create ()
-let pool : tx list ref = ref []
-
-let scrub_tx tx =
-  Hashtbl.reset tx.writes;
-  Array.fill tx.read_tvs 0 (Array.length tx.read_tvs) read_unset;
-  Array.fill tx.read_seen 0 (Array.length tx.read_seen) read_unset;
-  tx.nreads <- 0;
-  tx.wbloom <- 0
-
-let release_spare state =
-  match state.spare with
-  | None -> ()
-  | Some tx ->
-    state.spare <- None;
-    scrub_tx tx;
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      pool := tx :: !pool;
-      Mutex.unlock pool_lock
-    end
-
-let acquire_tx state =
-  let tx =
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      let popped =
-        match !pool with
-        | tx :: rest ->
-          pool := rest;
-          Some tx
-        | [] -> None
-      in
-      Mutex.unlock pool_lock;
-      match popped with
-      | Some tx ->
-        Stm_stats.record_pool_hit global_stats;
-        tx.backoff <- Backoff.for_domain ();
-        tx
-      | None ->
-        Stm_stats.record_pool_miss global_stats;
-        fresh_tx ()
-    end
-    else begin
-      Stm_stats.record_pool_miss global_stats;
-      fresh_tx ()
-    end
-  in
-  state.spare <- Some tx;
-  Domain.at_exit (fun () -> release_spare state);
-  tx
-
-let in_transaction () =
-  let state = current () in
-  state.ro_rv >= 0
-  ||
-  match state.active with
-  | None -> false
-  | Some _ -> true
 
 (* Seeded-bug fixture for the sanitizer (docs/SANITIZER.md): when set,
    the value-list revalidation that NOrec owes every observed clock
@@ -241,7 +146,7 @@ let rec validate tx =
     else time
   end
 
-let push_read tx tv_r seen_r =
+let log_value tx tv_r seen_r =
   let n = tx.nreads in
   if n = Array.length tx.read_tvs then begin
     let cap = 2 * n in
@@ -269,54 +174,18 @@ let tx_read : type a. tx -> a tvar -> a =
     tx.extensions <- tx.extensions + 1;
     v := tv.content
   done;
-  push_read tx (read_capture_tv tv) (read_capture_val !v);
+  log_value tx (read_capture_tv tv) (read_capture_val !v);
   !v
-
-(* Raised by a zero-log read when the snapshot is stale; [atomic_ro]
-   re-snapshots and re-runs the closure. Never escapes this module. *)
-exception Ro_restart
 
 (* Zero-log read-only read: no log is kept, so a moved sequence lock
    cannot be revalidated — restart the closure at a fresh snapshot
    instead (counted as [ro_inline_revalidations]). Uncontended
    read-only work thus costs ONE global load per read and nothing at
    commit: NOrec's best case. *)
-let ro_read : type a. domain_state -> a tvar -> a =
- fun state tv ->
+let ro_read : type a. int -> a tvar -> a =
+ fun rv tv ->
   let v = tv.content in
-  if Padded_atomic.get seqlock <> state.ro_rv then raise Ro_restart else v
-
-let read tv =
-  let state = current () in
-  match state.active with
-  | None -> if state.ro_rv >= 0 then ro_read state tv else tv.content
-  | Some tx ->
-    if tx.wbloom = 0 then tx_read tx tv
-    else begin
-      let bits = bloom_bit tv.id in
-      if tx.wbloom land bits <> bits then begin
-        (* Definitely never buffered: skip the hash probe. *)
-        tx.bloom_skips <- tx.bloom_skips + 1;
-        tx_read tx tv
-      end
-      else
-        match Hashtbl.find_opt tx.writes tv.id with
-        | Some entry -> !(cast_ref tv entry)
-        | None -> tx_read tx tv (* bloom false positive *)
-    end
-
-let write tv v =
-  let state = current () in
-  match state.active with
-  | None ->
-    if state.ro_rv >= 0 then raise Stm_intf.Write_in_read_only
-    else tv.content <- v
-  | Some tx -> (
-    match Hashtbl.find_opt tx.writes tv.id with
-    | Some entry -> cast_ref tv entry := v
-    | None ->
-      tx.wbloom <- tx.wbloom lor bloom_bit tv.id;
-      Hashtbl.add tx.writes tv.id (W { tv; value = ref v }))
+  if Padded_atomic.get seqlock <> rv then raise Txdesc.Ro_restart else v
 
 (* Writer commit: acquire the sequence lock at exactly [rv] (so the
    snapshot is known intact), write back in place, release two ticks
@@ -337,12 +206,6 @@ let commit tx =
     Stm_stats.record_commit global_stats ~read_only:false
   end
 
-let flush_tx_stats tx =
-  Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-  Stm_stats.record_read_set global_stats ~size:tx.nreads;
-  Stm_stats.record_tx_log global_stats ~dedup_hits:0
-    ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions
-
 let reset_tx tx =
   tx.rv <- wait_even ();
   (* Drop value references so the descriptor pins nothing dead. *)
@@ -361,6 +224,78 @@ let reset_tx tx =
     tx.read_seen <- Array.make initial_reads read_unset
   end
 
+(* No partial abort (see the module comment): every conflict restarts
+   the attempt, and the write buffer was never published, so there is
+   nothing to roll back. *)
+let engine =
+  Txdesc.create global_stats
+    {
+      fresh =
+        (fun () ->
+          {
+            rv = 0;
+            read_tvs = Array.make initial_reads read_unset;
+            read_seen = Array.make initial_reads read_unset;
+            nreads = 0;
+            writes = Hashtbl.create 64;
+            wbloom = 0;
+            validation_steps = 0;
+            bloom_skips = 0;
+            extensions = 0;
+          });
+      scrub =
+        (fun tx ->
+          Hashtbl.reset tx.writes;
+          Array.fill tx.read_tvs 0 (Array.length tx.read_tvs) read_unset;
+          Array.fill tx.read_seen 0 (Array.length tx.read_seen) read_unset;
+          tx.nreads <- 0;
+          tx.wbloom <- 0);
+      reset = reset_tx;
+      commit;
+      salvage = (fun _ -> false);
+      rollback = ignore;
+      flush =
+        (fun tx ->
+          Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
+          Stm_stats.record_read_set global_stats ~size:tx.nreads;
+          Stm_stats.record_tx_log global_stats ~dedup_hits:0
+            ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions);
+    }
+
+let in_transaction () = Txdesc.in_transaction engine
+
+let read tv =
+  let state = Txdesc.state engine in
+  match state.active with
+  | None -> if state.ro_rv >= 0 then ro_read state.ro_rv tv else tv.content
+  | Some tx ->
+    if tx.wbloom = 0 then tx_read tx tv
+    else begin
+      let bits = Checkpoint.bloom_bit tv.id in
+      if tx.wbloom land bits <> bits then begin
+        (* Definitely never buffered: skip the hash probe. *)
+        tx.bloom_skips <- tx.bloom_skips + 1;
+        tx_read tx tv
+      end
+      else
+        match Hashtbl.find_opt tx.writes tv.id with
+        | Some entry -> !(cast_ref tv entry)
+        | None -> tx_read tx tv (* bloom false positive *)
+    end
+
+let write tv v =
+  let state = Txdesc.state engine in
+  match state.active with
+  | None ->
+    if state.ro_rv >= 0 then raise Stm_intf.Write_in_read_only
+    else tv.content <- v
+  | Some tx -> (
+    match Hashtbl.find_opt tx.writes tv.id with
+    | Some entry -> cast_ref tv entry := v
+    | None ->
+      tx.wbloom <- tx.wbloom lor Checkpoint.bloom_bit tv.id;
+      Hashtbl.add tx.writes tv.id (W { tv; value = ref v }))
+
 (* No partial abort: a value-based read log has no per-entry version,
    so a prefix cannot be revalidated against a monotonic read version
    the way the checkpoint contract requires (see module comment). *)
@@ -368,71 +303,8 @@ let partial_abort = false
 let checkpoint ~acc:_ = ()
 let resume () = (0, 0)
 
-let atomic f =
-  let state = current () in
-  if state.ro_rv >= 0 then f () (* nested inside [atomic_ro]: flatten *)
-  else
-    match state.active with
-    | Some _ -> f () (* nested: flatten *)
-    | None ->
-      let tx =
-        match state.spare with
-        | Some tx -> tx
-        | None -> acquire_tx state
-      in
-      let rec attempt () =
-        reset_tx tx;
-        state.active <- Some tx;
-        match
-          let result = f () in
-          commit tx;
-          result
-        with
-        | result ->
-          state.active <- None;
-          flush_tx_stats tx;
-          Backoff.reset tx.backoff;
-          result
-        | exception Conflict ->
-          state.active <- None;
-          flush_tx_stats tx;
-          Stm_stats.record_abort global_stats;
-          Backoff.once tx.backoff;
-          attempt ()
-        | exception exn ->
-          (* Every read was validated against the sequence lock, so
-             the view that produced [exn] was a consistent snapshot:
-             discard the write buffer and propagate. *)
-          state.active <- None;
-          flush_tx_stats tx;
-          raise exn
-      in
-      attempt ()
-
-let atomic_ro f =
-  let state = current () in
-  if state.ro_rv >= 0 then f () (* nested ro: flatten *)
-  else
-    match state.active with
-    | Some _ -> f () (* inside an update transaction: flatten *)
-    | None ->
-      let rec attempt () =
-        state.ro_rv <- wait_even ();
-        match f () with
-        | result ->
-          state.ro_rv <- -1;
-          Stm_stats.record_ro_commit global_stats;
-          result
-        | exception Ro_restart ->
-          state.ro_rv <- -1;
-          Stm_stats.record_ro_revalidation global_stats;
-          attempt ()
-        | exception exn ->
-          state.ro_rv <- -1;
-          raise exn
-      in
-      attempt ()
-
+let atomic f = Txdesc.atomic engine f
+let atomic_ro f = Txdesc.atomic_ro engine ~snapshot:wait_even f
 let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
 
 let stats () = Stm_stats.snapshot global_stats

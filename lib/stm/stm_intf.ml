@@ -14,9 +14,9 @@ exception Conflict
 exception Write_in_read_only
 
 (** Master switch for checkpointed partial abort, shared by the
-    substrates that implement it (TL2, LSA). On by default; the bench
-    harness flips it off to measure the full-abort baseline on the same
-    binary. Read once per conflict, so flipping it mid-transaction is
+    substrates that implement it (TL2, LSA, ETL). On by default; the
+    bench harness flips it off to measure the full-abort baseline on the
+    same binary. Read once per conflict, so flipping it mid-transaction is
     harmless (the next conflict sees the new value). *)
 let partial_abort_enabled = ref true
 

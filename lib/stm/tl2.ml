@@ -24,9 +24,10 @@
    [Stm_intf.Write_in_read_only] for the runtime layer to demote the
    operation to update mode.
 
-   Log-management fast paths (see docs/PERF.md; the paper's §5 thesis is
-   that exactly this bookkeeping decides whether an STM "behaves like
-   medium-grained locking" on long traversals):
+   Log-management fast paths, implemented once in {!Readset} and
+   {!Checkpoint} and shared with LSA and ETL (see docs/PERF.md; the
+   paper's §5 thesis is that exactly this bookkeeping decides whether an
+   STM "behaves like medium-grained locking" on long traversals):
    - read-set dedup: a per-transaction direct-mapped (id -> seen) cache
      makes re-reading an already-logged tvar O(1) with no duplicate
      entry, so validation and extension stay O(distinct tvars) instead
@@ -61,85 +62,12 @@ type 'a tvar = {
    equal ids imply physical equality of the tvars and hence equality of
    the hidden types. Every [Obj] use in this module is allowlisted
    per-binding by lint rule R5 (see lib/analysis/lint_config.ml). *)
-type wentry =
-  | W : {
-      tv : 'a tvar;
-      value : 'a ref;
-      mutable locked_from : int; (* version the commit lock was taken at *)
-      mutable locked : bool;
-    }
-      -> wentry
+type wentry = W : { tv : 'a tvar; value : 'a ref } -> wentry
 
 let cast_ref : type a. a tvar -> wentry -> a ref =
  fun tv (W w) ->
   assert (w.tv.id = tv.id);
   (Obj.magic w.value : a ref)
-
-(* The read set is three parallel arrays (structure-of-arrays) rather
-   than an array of {id; vlock; version} records: a push writes three
-   slots and allocates nothing, and the GC marks three flat arrays per
-   log instead of one record per logged read. [read_ids] and
-   [read_versions] are unboxed int arrays; [read_vlocks] holds the
-   tvars' existing atomic cells (shared pointers, never allocated per
-   entry). Unused vlock slots hold [dummy_vlock]. *)
-let dummy_vlock : int Atomic.t = Atomic.make 0
-
-(* Undo log for buffered writes overwritten after a checkpoint: rolling
-   back to a watermark replays (slot, saved-value) pairs in reverse.
-   Stored as two parallel [Obj.t] arrays instead of an array of
-   existential records, so pushes and growth doublings allocate no
-   per-entry box and never re-allocate entry records (each slot is
-   reused in place). The coercions are justified exactly like
-   [cast_ref]: slot and value are captured together from the same ['a]
-   and only ever re-paired at the same index, so the hidden types
-   cannot mix. [undo_unset] is an immediate, so the arrays are never
-   float-specialized and a cleared slot pins no dead value. *)
-let undo_unset : Obj.t = Obj.repr 0
-
-let undo_capture_slot : 'a ref -> Obj.t = fun slot -> Obj.repr slot
-let undo_capture_val : 'a ref -> Obj.t = fun slot -> Obj.repr !slot
-let undo_restore (slot : Obj.t) (v : Obj.t) = (Obj.obj slot : Obj.t ref) := v
-
-type tx = {
-  mutable rv : int;
-  mutable read_ids : int array;
-  mutable read_versions : int array;
-  mutable read_vlocks : int Atomic.t array;
-  mutable nreads : int;
-  (* Read-set dedup: direct-mapped cache over tvar ids, epoch-tagged so
-     reset is O(1). A slot holds the id it last admitted; collisions
-     evict, which only costs a duplicate entry later, never
-     correctness. Kept at 2x the read-array capacity. *)
-  mutable dedup_ids : int array;
-  mutable dedup_epochs : int array;
-  mutable epoch : int;
-  writes : (int, wentry) Hashtbl.t;
-  mutable wbloom : int; (* word-sized bloom over buffered tvar ids *)
-  (* Mutable so a descriptor recycled to a new domain can be reseeded
-     with that domain's backoff stream. *)
-  mutable backoff : Backoff.t;
-  mutable validation_steps : int;
-  mutable dedup_hits : int;
-  mutable bloom_skips : int;
-  mutable extensions : int;
-  (* Checkpoint / partial-abort state. Marks are ordered watermarks
-     over the read set and write log; [wlog] records buffered tvar ids
-     in first-buffer order so post-watermark write entries can be
-     dropped; [undo] restores overwritten buffer values. *)
-  mutable mark_reads : int array; (* per mark: nreads watermark *)
-  mutable mark_wlog : int array; (* per mark: write-log watermark *)
-  mutable mark_undo : int array; (* per mark: undo-log watermark *)
-  mutable mark_acc : int array; (* per mark: caller's accumulator *)
-  mutable nmarks : int;
-  mutable wlog : int array; (* buffered tvar ids, insertion order *)
-  mutable nwlog : int;
-  mutable undo_slots : Obj.t array; (* parallel with undo_vals *)
-  mutable undo_vals : Obj.t array;
-  mutable nundo : int;
-  mutable ncheckpoints : int; (* checkpoint calls this attempt (stats) *)
-  mutable resume_marks : int; (* marks salvaged by the last partial abort *)
-  mutable resume_acc : int; (* accumulator saved with the salvaged mark *)
-}
 
 let clock = Global_clock.create ()
 let global_stats = Stm_stats.create ()
@@ -150,193 +78,6 @@ let global_stats = Stm_stats.create ()
 let tvar_ids = Tvar_id.create ()
 
 let make v = { id = Tvar_id.fresh tvar_ids; vlock = Atomic.make 0; content = v }
-
-let initial_reads = 64
-let initial_dedup = 2 * initial_reads
-
-let fresh_tx () =
-  {
-    rv = 0;
-    read_ids = Array.make initial_reads (-1);
-    read_versions = Array.make initial_reads 0;
-    read_vlocks = Array.make initial_reads dummy_vlock;
-    nreads = 0;
-    dedup_ids = Array.make initial_dedup (-1);
-    dedup_epochs = Array.make initial_dedup 0;
-    epoch = 0;
-    writes = Hashtbl.create 64;
-    wbloom = 0;
-    backoff = Backoff.for_domain ();
-    validation_steps = 0;
-    dedup_hits = 0;
-    bloom_skips = 0;
-    extensions = 0;
-    mark_reads = Array.make 16 0;
-    mark_wlog = Array.make 16 0;
-    mark_undo = Array.make 16 0;
-    mark_acc = Array.make 16 0;
-    nmarks = 0;
-    wlog = Array.make 16 0;
-    nwlog = 0;
-    undo_slots = Array.make 16 undo_unset;
-    undo_vals = Array.make 16 undo_unset;
-    nundo = 0;
-    ncheckpoints = 0;
-    resume_marks = 0;
-    resume_acc = 0;
-  }
-
-(* Two bit positions in a 63-bit word, derived from a multiplicative
-   hash so the sequential tvar ids spread; membership test is
-   [wbloom land bits = bits]. *)
-let bloom_bit id =
-  let h = id * 0x9E3779B9 in
-  (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)))
-
-(* Per-domain state: [active] is the running transaction (if any);
-   [spare] caches the descriptor between transactions so short
-   operations do not reallocate the write-set table. [ro_rv] is the
-   read version of a running zero-log read-only transaction, or -1 —
-   read-only mode needs no descriptor at all (no read set, no write
-   set), so a single int is its entire footprint. *)
-type domain_state = {
-  mutable active : tx option;
-  mutable spare : tx option;
-  mutable ro_rv : int;
-}
-
-let current_key : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { active = None; spare = None; ro_rv = -1 })
-
-let current () = Domain.DLS.get current_key
-
-(* Descriptor free pool (same shape as the [Stm_stats] shard pool): a
-   domain's first transaction adopts a scrubbed descriptor donated by
-   an exited domain — keeping the log capacities it learned — or
-   allocates fresh on a cold start. [Domain.at_exit] scrubs and donates
-   the spare, so steady-state respawning workers allocate no
-   descriptor, no log arrays and no write-set table at all. *)
-let pool_lock = Mutex.create ()
-let pool : tx list ref = ref []
-
-(* Drop every heap reference the descriptor still holds (write-set
-   table entries, undo slots, vlock pointers) so a pooled descriptor
-   never pins tvar values or atomic cells from its previous life. The
-   capacity-wide fills are fine here: release is once per domain
-   lifetime, never per transaction. *)
-let scrub_tx tx =
-  Hashtbl.reset tx.writes;
-  Array.fill tx.read_vlocks 0 (Array.length tx.read_vlocks) dummy_vlock;
-  Array.fill tx.undo_slots 0 (Array.length tx.undo_slots) undo_unset;
-  Array.fill tx.undo_vals 0 (Array.length tx.undo_vals) undo_unset;
-  tx.nreads <- 0;
-  tx.nundo <- 0;
-  tx.nwlog <- 0;
-  tx.nmarks <- 0;
-  tx.wbloom <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0
-
-let release_spare state =
-  match state.spare with
-  | None -> ()
-  | Some tx ->
-    state.spare <- None;
-    scrub_tx tx;
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      pool := tx :: !pool;
-      Mutex.unlock pool_lock
-    end
-
-(* First descriptor acquisition on this domain: pool pop or fresh
-   allocation. Runs at most once per domain lifetime ([spare] holds the
-   descriptor from then on), which is also the only point the at-exit
-   donation needs registering. *)
-let acquire_tx state =
-  let tx =
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock pool_lock;
-      let popped =
-        match !pool with
-        | tx :: rest ->
-          pool := rest;
-          Some tx
-        | [] -> None
-      in
-      Mutex.unlock pool_lock;
-      match popped with
-      | Some tx ->
-        Stm_stats.record_pool_hit global_stats;
-        (* The recycled descriptor carries the donor domain's backoff
-           stream; reseed for this domain. *)
-        tx.backoff <- Backoff.for_domain ();
-        tx
-      | None ->
-        Stm_stats.record_pool_miss global_stats;
-        fresh_tx ()
-    end
-    else begin
-      Stm_stats.record_pool_miss global_stats;
-      fresh_tx ()
-    end
-  in
-  state.spare <- Some tx;
-  Domain.at_exit (fun () -> release_spare state);
-  tx
-
-let in_transaction () =
-  let state = current () in
-  state.ro_rv >= 0
-  ||
-  match state.active with
-  | None -> false
-  | Some _ -> true
-
-(* Probe-and-claim in the dedup cache: [true] means [id] is already in
-   the read set (skip the duplicate push). Sequential ids index
-   directly, so a traversal narrower than the cache never collides. *)
-let dedup_seen tx id =
-  let slot = id land (Array.length tx.dedup_ids - 1) in
-  if tx.dedup_epochs.(slot) = tx.epoch && tx.dedup_ids.(slot) = id then true
-  else begin
-    tx.dedup_ids.(slot) <- id;
-    tx.dedup_epochs.(slot) <- tx.epoch;
-    false
-  end
-
-let push_read tx id vlock version =
-  let n = tx.nreads in
-  if n = Array.length tx.read_ids then begin
-    let cap = 2 * n in
-    let rids = Array.make cap (-1) in
-    let versions = Array.make cap 0 in
-    let vlocks = Array.make cap dummy_vlock in
-    Array.blit tx.read_ids 0 rids 0 n;
-    Array.blit tx.read_versions 0 versions 0 n;
-    Array.blit tx.read_vlocks 0 vlocks 0 n;
-    tx.read_ids <- rids;
-    tx.read_versions <- versions;
-    tx.read_vlocks <- vlocks;
-    (* Grow the dedup cache with the read set and re-mark the logged
-       ids, so dedup stays effective on long traversals. *)
-    let size = 2 * Array.length tx.dedup_ids in
-    let ids = Array.make size (-1) and epochs = Array.make size tx.epoch in
-    for i = 0 to n - 1 do
-      let id = rids.(i) in
-      ids.(id land (size - 1)) <- id
-    done;
-    (* The incoming entry claimed its slot in the old cache; re-claim in
-       the new one so its next re-read still dedups. *)
-    ids.(id land (size - 1)) <- id;
-    tx.dedup_ids <- ids;
-    tx.dedup_epochs <- epochs
-  end;
-  tx.read_ids.(n) <- id;
-  tx.read_versions.(n) <- version;
-  tx.read_vlocks.(n) <- vlock;
-  tx.nreads <- n + 1
 
 (* Seeded-bug fixture for the sanitizer (docs/SANITIZER.md): when set,
    read-set validation is skipped at commit AND during timestamp
@@ -361,36 +102,17 @@ module Unsafe = struct
     unvalidated_resume := false
 end
 
-(* Check every read entry is still at its recorded version. Entries we
-   hold the commit lock on appear as [version + 1]. *)
-let read_set_valid tx ~own_locks =
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < tx.nreads do
-    let cur = Atomic.get tx.read_vlocks.(!i) in
-    let version = tx.read_versions.(!i) in
-    if cur <> version then
-      if
-        not
-          (own_locks && cur = version + 1
-          && Hashtbl.mem tx.writes tx.read_ids.(!i))
-      then ok := false;
-    incr i
-  done;
-  tx.validation_steps <- tx.validation_steps + !i;
-  !ok
-
 (* The read observed a version newer than [rv]: try to extend [rv] to
-   the current clock instead of aborting. *)
-let extend tx =
-  let now = Global_clock.now clock in
-  if !Unsafe.no_validation || read_set_valid tx ~own_locks:false then begin
-    tx.rv <- now;
+   the current clock instead of aborting. No commit lock is held
+   outside [commit], so the read set is checked without own locks. *)
+let extend (tx : _ Txdesc.vtx) =
+  if !Unsafe.no_validation then begin
+    tx.rv <- Global_clock.now clock;
     tx.extensions <- tx.extensions + 1
   end
-  else raise Conflict
+  else Txdesc.extend clock ~own_locks:false tx
 
-let rec tx_read : type a. tx -> a tvar -> a =
+let rec tx_read : type a. wentry Txdesc.vtx -> a tvar -> a =
  fun tx tv ->
   let v1 = Atomic.get tv.vlock in
   if v1 land 1 = 1 then raise Conflict
@@ -403,22 +125,11 @@ let rec tx_read : type a. tx -> a tvar -> a =
       tx_read tx tv
     end
     else begin
-      (* A dedup hit is sound: a logged tvar cannot have changed while
-         the transaction is still viable — a change either shows up as
-         [v1 > rv] (the extension then revalidates the logged entry and
-         conflicts) or is caught by the same entry at commit. Skipping
-         the duplicate push therefore preserves the exact conflict
-         set. *)
-      if dedup_seen tx tv.id then tx.dedup_hits <- tx.dedup_hits + 1
-      else push_read tx tv.id tv.vlock v1;
+      if not (Readset.seen tx.rs tv.id) then
+        Readset.push tx.rs tv.id tv.vlock v1;
       value
     end
   end
-
-(* Raised by a zero-log read when the snapshot is stale; [atomic_ro]
-   re-snapshots the read version and re-runs the closure. Never
-   escapes this module. *)
-exception Ro_restart
 
 (* A zero-log read: the vlock sandwich plus a [version <= rv] check.
    Nothing is logged — a read-only transaction whose every read
@@ -426,111 +137,26 @@ exception Ro_restart
    commit-time validation and no clock CAS (TL2's read-only mode). A
    locked vlock is a committer in its (short) write-back window, so
    spin rather than restart the whole closure. *)
-let rec ro_read : type a. domain_state -> a tvar -> a =
- fun state tv ->
+let rec ro_read : type a. int -> a tvar -> a =
+ fun rv tv ->
   let v1 = Atomic.get tv.vlock in
   if v1 land 1 = 1 then begin
     Domain.cpu_relax ();
-    ro_read state tv
+    ro_read rv tv
   end
   else begin
     let value = tv.content in
     let v2 = Atomic.get tv.vlock in
-    if v1 <> v2 then ro_read state tv
-    else if v1 > state.ro_rv then raise Ro_restart
+    if v1 <> v2 then ro_read rv tv
+    else if v1 > rv then raise Txdesc.Ro_restart
     else value
   end
 
-let read tv =
-  let state = current () in
-  match state.active with
-  | None -> if state.ro_rv >= 0 then ro_read state tv else tv.content
-  | Some tx ->
-    if tx.wbloom = 0 then tx_read tx tv
-    else begin
-      let bits = bloom_bit tv.id in
-      if tx.wbloom land bits <> bits then begin
-        (* Definitely never buffered: skip the hash probe. *)
-        tx.bloom_skips <- tx.bloom_skips + 1;
-        tx_read tx tv
-      end
-      else
-        match Hashtbl.find_opt tx.writes tv.id with
-        | Some entry -> !(cast_ref tv entry)
-        | None -> tx_read tx tv (* bloom false positive *)
-    end
-
-let write tv v =
-  let state = current () in
-  match state.active with
-  | None ->
-    if state.ro_rv >= 0 then raise Stm_intf.Write_in_read_only
-    else tv.content <- v
-  | Some tx -> (
-    match Hashtbl.find_opt tx.writes tv.id with
-    | Some entry ->
-      let slot = cast_ref tv entry in
-      (* With live checkpoints, save the overwritten buffer value so a
-         rollback to an earlier watermark can restore it. *)
-      if tx.nmarks > 0 then begin
-        if tx.nundo = Array.length tx.undo_slots then begin
-          let cap = 2 * tx.nundo in
-          let slots = Array.make cap undo_unset in
-          let vals = Array.make cap undo_unset in
-          Array.blit tx.undo_slots 0 slots 0 tx.nundo;
-          Array.blit tx.undo_vals 0 vals 0 tx.nundo;
-          tx.undo_slots <- slots;
-          tx.undo_vals <- vals
-        end;
-        tx.undo_slots.(tx.nundo) <- undo_capture_slot slot;
-        tx.undo_vals.(tx.nundo) <- undo_capture_val slot;
-        tx.nundo <- tx.nundo + 1
-      end;
-      slot := v
-    | None ->
-      tx.wbloom <- tx.wbloom lor bloom_bit tv.id;
-      Hashtbl.add tx.writes tv.id
-        (W { tv; value = ref v; locked_from = 0; locked = false });
-      (* Insertion-order log: lets a partial abort drop exactly the
-         entries buffered past a watermark. *)
-      if tx.nwlog = Array.length tx.wlog then begin
-        let bigger = Array.make (2 * tx.nwlog) 0 in
-        Array.blit tx.wlog 0 bigger 0 tx.nwlog;
-        tx.wlog <- bigger
-      end;
-      tx.wlog.(tx.nwlog) <- tv.id;
-      tx.nwlog <- tx.nwlog + 1)
-
-let unlock_acquired tx =
-  Hashtbl.iter
-    (fun _ (W w) ->
-      if w.locked then begin
-        Atomic.set w.tv.vlock w.locked_from;
-        w.locked <- false
-      end)
-    tx.writes
-
-let lock_write_set tx =
-  try
-    Hashtbl.iter
-      (fun _ (W w) ->
-        let v = Atomic.get w.tv.vlock in
-        if v land 1 = 1 || not (Atomic.compare_and_set w.tv.vlock v (v + 1))
-        then raise Exit
-        else begin
-          w.locked_from <- v;
-          w.locked <- true
-        end)
-      tx.writes
-  with Exit ->
-    unlock_acquired tx;
-    raise Conflict
-
-let commit tx =
+let commit (tx : _ Txdesc.vtx) =
   if Hashtbl.length tx.writes = 0 then
     Stm_stats.record_commit global_stats ~read_only:true
   else begin
-    lock_write_set tx;
+    Checkpoint.lock_writes tx.ck;
     (* Clock advance after the locks (required by [tick_or_reuse]'s
        contract): one CAS attempt; on failure adopt the concurrent
        committer's value. A reused value forfeits the "nothing
@@ -544,265 +170,92 @@ let commit tx =
         (wv, false)
     in
     (* If nothing committed since we started, the read set is trivially
-       intact (standard TL2 optimization). *)
+       intact (standard TL2 optimization). Entries we hold the commit
+       lock on appear as [version + 1]. *)
     if
       (not !Unsafe.no_validation)
       && not (unique && wv = tx.rv + 2)
-      && not (read_set_valid tx ~own_locks:true)
+      && not (Readset.valid tx.rs ~own_locks:true tx.writes)
     then begin
-      unlock_acquired tx;
+      Checkpoint.unlock tx.ck ~from:0;
       raise Conflict
     end;
-    Hashtbl.iter
-      (fun _ (W w) ->
-        w.tv.content <- !(w.value);
-        w.locked <- false;
-        Atomic.set w.tv.vlock wv)
-      tx.writes;
+    Hashtbl.iter (fun _ (W w) -> w.tv.content <- !(w.value)) tx.writes;
+    Checkpoint.publish tx.ck wv;
     Stm_stats.record_commit global_stats ~read_only:false
   end
 
-let flush_tx_stats tx =
-  Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-  Stm_stats.record_read_set global_stats ~size:tx.nreads;
-  Stm_stats.record_tx_log global_stats ~dedup_hits:tx.dedup_hits
-    ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions;
-  Stm_stats.record_checkpoints global_stats ~count:tx.ncheckpoints
+(* TL2's descriptor is the shared versioned one ({!Txdesc.vtx}) over
+   its lazy write buffer. *)
+let engine =
+  Txdesc.create global_stats
+    {
+      fresh = Txdesc.fresh_vtx;
+      scrub = Txdesc.scrub_vtx;
+      reset = Txdesc.reset_vtx clock;
+      commit;
+      (* No commit locks are held at a conflict: every [Conflict] raise
+         site in [commit] releases them first. *)
+      salvage =
+        (fun tx ->
+          Txdesc.salvage_vtx global_stats clock ~own_locks:false
+            ~blind:!Unsafe.unvalidated_resume ~restore:Checkpoint.restore_ref
+            tx);
+      (* The write buffer was never published: discarding it at the
+         next [reset] is the whole rollback. *)
+      rollback = ignore;
+      flush = Txdesc.flush_vtx global_stats;
+    }
 
-let reset_tx tx =
-  tx.rv <- Global_clock.now clock;
-  tx.nreads <- 0;
-  Hashtbl.reset tx.writes;
-  tx.wbloom <- 0;
-  tx.epoch <- tx.epoch + 1; (* invalidates the whole dedup cache in O(1) *)
-  tx.validation_steps <- 0;
-  tx.dedup_hits <- 0;
-  tx.bloom_skips <- 0;
-  tx.extensions <- 0;
-  tx.nmarks <- 0;
-  tx.nwlog <- 0;
-  (* Drop value references so the descriptor pins nothing dead. *)
-  Array.fill tx.undo_slots 0 tx.nundo undo_unset;
-  Array.fill tx.undo_vals 0 tx.nundo undo_unset;
-  tx.nundo <- 0;
-  tx.ncheckpoints <- 0;
-  tx.resume_marks <- 0;
-  tx.resume_acc <- 0;
-  (* Shrink a read set that ballooned in a previous long transaction so
-     per-op memory stays bounded; the dedup cache shrinks with it. *)
-  if Array.length tx.read_ids > 1 lsl 16 then begin
-    tx.read_ids <- Array.make initial_reads (-1);
-    tx.read_versions <- Array.make initial_reads 0;
-    tx.read_vlocks <- Array.make initial_reads dummy_vlock;
-    tx.dedup_ids <- Array.make initial_dedup (-1);
-    tx.dedup_epochs <- Array.make initial_dedup 0
-  end
+let in_transaction () = Txdesc.in_transaction engine
+
+let read tv =
+  let state = Txdesc.state engine in
+  match state.active with
+  | None -> if state.ro_rv >= 0 then ro_read state.ro_rv tv else tv.content
+  | Some tx ->
+    if tx.wbloom = 0 then tx_read tx tv
+    else begin
+      let bits = Checkpoint.bloom_bit tv.id in
+      if tx.wbloom land bits <> bits then begin
+        (* Definitely never buffered: skip the hash probe. *)
+        tx.bloom_skips <- tx.bloom_skips + 1;
+        tx_read tx tv
+      end
+      else
+        match Hashtbl.find_opt tx.writes tv.id with
+        | Some entry -> !(cast_ref tv entry)
+        | None -> tx_read tx tv (* bloom false positive *)
+    end
+
+let write tv v =
+  let state = Txdesc.state engine in
+  match state.active with
+  | None ->
+    if state.ro_rv >= 0 then raise Stm_intf.Write_in_read_only
+    else tv.content <- v
+  | Some tx -> (
+    match Hashtbl.find_opt tx.writes tv.id with
+    | Some entry ->
+      let slot = cast_ref tv entry in
+      (* With live checkpoints, save the overwritten buffer value so a
+         rollback to an earlier watermark can restore it. *)
+      if Checkpoint.armed tx.ck then Checkpoint.save_ref tx.ck slot;
+      slot := v
+    | None ->
+      tx.wbloom <- tx.wbloom lor Checkpoint.bloom_bit tv.id;
+      Hashtbl.add tx.writes tv.id (W { tv; value = ref v });
+      (* Insertion-order log: lets a partial abort drop exactly the
+         entries buffered past a watermark, and [commit] lock them. *)
+      Checkpoint.log_write tx.ck tv.id tv.vlock ~from:0)
 
 let partial_abort = true
 
-(* Record a watermark: current read-set size, write-log length, undo
-   length, and the caller's accumulator. A no-op outside an update
-   transaction or with partial abort disabled, so full-abort runs pay
-   nothing. *)
-let checkpoint ~acc =
-  let state = current () in
-  match state.active with
-  | None -> ()
-  | Some tx ->
-    if !Stm_intf.partial_abort_enabled then begin
-      let n = tx.nmarks in
-      if n = Array.length tx.mark_reads then begin
-        let grow a = Array.append a (Array.make n 0) in
-        tx.mark_reads <- grow tx.mark_reads;
-        tx.mark_wlog <- grow tx.mark_wlog;
-        tx.mark_undo <- grow tx.mark_undo;
-        tx.mark_acc <- grow tx.mark_acc
-      end;
-      tx.mark_reads.(n) <- tx.nreads;
-      tx.mark_wlog.(n) <- tx.nwlog;
-      tx.mark_undo.(n) <- tx.nundo;
-      tx.mark_acc.(n) <- acc;
-      tx.nmarks <- n + 1;
-      tx.ncheckpoints <- tx.ncheckpoints + 1
-    end
-
-let resume () =
-  let state = current () in
-  match state.active with
-  | None -> (0, 0)
-  | Some tx -> (tx.resume_marks, tx.resume_acc)
-
-(* Conflict with live checkpoints: find the longest valid read-set
-   prefix, roll back to the newest watermark inside it, and re-extend
-   [rv]. Returns [true] when the attempt can resume (the closure will
-   skip [resume_marks] checkpointed units), [false] to fall back to a
-   full abort. No commit locks are held here — every [Conflict] raise
-   site releases them first. *)
-let try_partial_rollback tx =
-  if tx.nmarks = 0 || not !Stm_intf.partial_abort_enabled then false
-  else begin
-    (* Sample the clock BEFORE validating (same ordering as [extend]):
-       a commit that lands after the sample is > [now] and will be
-       caught by the per-read rv check later. *)
-    let now = Global_clock.now clock in
-    let mark =
-      if !Unsafe.unvalidated_resume then tx.nmarks - 1
-      else begin
-        (* First invalid read position; everything before it is intact. *)
-        let p = ref 0 in
-        (try
-           while !p < tx.nreads do
-             if Atomic.get tx.read_vlocks.(!p) <> tx.read_versions.(!p) then
-               raise Exit;
-             incr p
-           done
-         with Exit -> ());
-        tx.validation_steps <- tx.validation_steps + !p + 1;
-        (* Newest mark whose watermark fits inside the valid prefix. *)
-        let m = ref (tx.nmarks - 1) in
-        while !m >= 0 && tx.mark_reads.(!m) > !p do
-          decr m
-        done;
-        !m
-      end
-    in
-    if mark < 0 then begin
-      Stm_stats.record_resume_failure global_stats;
-      false
-    end
-    else begin
-      (* Truncate the read set to the watermark and drop the write
-         entries buffered past it (insertion order makes the suffix
-         exact), undoing overwrites of retained entries in reverse. *)
-      tx.nreads <- tx.mark_reads.(mark);
-      for j = tx.nwlog - 1 downto tx.mark_wlog.(mark) do
-        Hashtbl.remove tx.writes tx.wlog.(j)
-      done;
-      tx.nwlog <- tx.mark_wlog.(mark);
-      for j = tx.nundo - 1 downto tx.mark_undo.(mark) do
-        undo_restore tx.undo_slots.(j) tx.undo_vals.(j);
-        tx.undo_slots.(j) <- undo_unset;
-        tx.undo_vals.(j) <- undo_unset
-      done;
-      tx.nundo <- tx.mark_undo.(mark);
-      let bloom = ref 0 in
-      for j = 0 to tx.nwlog - 1 do
-        bloom := !bloom lor bloom_bit tx.wlog.(j)
-      done;
-      tx.wbloom <- !bloom;
-      (* Invalidate the dedup cache, then re-claim the retained prefix
-         so its re-reads still dedup; truncated ids will re-log. *)
-      tx.epoch <- tx.epoch + 1;
-      for i = 0 to tx.nreads - 1 do
-        let id = tx.read_ids.(i) in
-        tx.dedup_ids.(id land (Array.length tx.dedup_ids - 1)) <- id;
-        tx.dedup_epochs.(id land (Array.length tx.dedup_ids - 1)) <- tx.epoch
-      done;
-      tx.nmarks <- mark + 1;
-      tx.resume_marks <- mark + 1;
-      tx.resume_acc <- tx.mark_acc.(mark);
-      (* The prefix just validated at [now]: adopt it as the new read
-         version so resumed reads post-dating the old rv don't refire. *)
-      tx.rv <- now;
-      Stm_stats.record_partial_abort global_stats ~reads_salvaged:tx.nreads;
-      true
-    end
-  end
-
-let atomic f =
-  let state = current () in
-  if state.ro_rv >= 0 then
-    (* Nested inside [atomic_ro]: flatten into the read-only
-       transaction. Writes keep raising [Write_in_read_only], so a
-       mis-declared operation cannot smuggle updates through an inner
-       [atomic]. *)
-    f ()
-  else
-    match state.active with
-    | Some _ -> f () (* nested: flatten *)
-    | None ->
-    let tx =
-      match state.spare with
-      | Some tx -> tx
-      | None -> acquire_tx state
-    in
-    let rec attempt ~fresh () =
-      if fresh then begin
-        reset_tx tx;
-        state.active <- Some tx
-      end;
-      match
-        let result = f () in
-        commit tx;
-        result
-      with
-      | result ->
-        state.active <- None;
-        flush_tx_stats tx;
-        Backoff.reset tx.backoff;
-        result
-      | exception Conflict ->
-        if try_partial_rollback tx then
-          (* Partial abort: the descriptor keeps its validated prefix
-             and stays active; re-run the closure, which consults
-             [resume] and skips the salvaged checkpointed units. Not
-             counted as an abort and no backoff — the conflicting
-             window was already rolled past. *)
-          attempt ~fresh:false ()
-        else begin
-          state.active <- None;
-          flush_tx_stats tx;
-          Stm_stats.record_abort global_stats;
-          Backoff.once tx.backoff;
-          attempt ~fresh:true ()
-        end
-      | exception exn ->
-        (* The rv check on every read gives opacity: the view that
-           produced [exn] was consistent, so roll back (discard the
-           write buffer) and propagate. *)
-        state.active <- None;
-        flush_tx_stats tx;
-        raise exn
-    in
-    attempt ~fresh:true ()
-
-let atomic_ro f =
-  let state = current () in
-  if state.ro_rv >= 0 then f () (* nested ro: flatten *)
-  else
-    match state.active with
-    | Some _ ->
-      (* Inside an update transaction: flatten into it — its reads are
-         already validated, and its writes are wanted. *)
-      f ()
-    | None ->
-      let rec attempt () =
-        state.ro_rv <- Global_clock.now clock;
-        match f () with
-        | result ->
-          state.ro_rv <- -1;
-          (* No read set was kept, so there is nothing to flush:
-             max_read_set / read_set_entries are untouched by ro
-             transactions. *)
-          Stm_stats.record_ro_commit global_stats;
-          result
-        | exception Ro_restart ->
-          (* A read post-dated the snapshot: re-snapshot rv and re-run
-             (TinySTM-style). Counted separately from aborts — no
-             conflict with a writer's outcome, just a stale start. *)
-          state.ro_rv <- -1;
-          Stm_stats.record_ro_revalidation global_stats;
-          attempt ()
-        | exception exn ->
-          (* Every completed read satisfied [version <= rv], so the
-             view that produced [exn] was a consistent snapshot:
-             propagate (this includes [Write_in_read_only], which the
-             runtime dispatch layer turns into a demotion). *)
-          state.ro_rv <- -1;
-          raise exn
-      in
-      attempt ()
-
+let checkpoint ~acc = Txdesc.checkpoint engine ~acc
+let resume () = Txdesc.resume engine
+let atomic f = Txdesc.atomic engine f
+let now () = Global_clock.now clock
+let atomic_ro f = Txdesc.atomic_ro engine ~snapshot:now f
 let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
 
 let stats () = Stm_stats.snapshot global_stats

@@ -1,5 +1,5 @@
-(* Tests shared by both STM implementations (TL2 and ASTM), plus
-   implementation-specific checks. The shared functor exercises the
+(* Tests shared by every STM implementation (TL2, ASTM, LSA, NOrec and
+   ETL), plus implementation-specific checks. The shared functor exercises the
    sequential semantics, rollback, nesting, and — across multiple
    domains — lost-update freedom and snapshot consistency. *)
 
@@ -221,6 +221,8 @@ end
 module Tl2_tests = Make_stm_tests (Sb7_stm.Tl2)
 module Astm_tests = Make_stm_tests (Sb7_stm.Astm)
 module Lsa_tests = Make_stm_tests (Sb7_stm.Lsa)
+module Norec_tests = Make_stm_tests (Sb7_stm.Norec)
+module Etl_tests = Make_stm_tests (Sb7_stm.Etl)
 
 (* LSA-specific: snapshot transactions. *)
 
@@ -378,8 +380,8 @@ let lsa_specific_suite =
       test_lsa_nontx_write_versioned;
   ]
 
-(* Read-only mode ([atomic_ro]): TL2's zero-log fast path and LSA's
-   snapshot mode behind the shared interface. *)
+(* Read-only mode ([atomic_ro]): the zero-log fast path of TL2, NOrec
+   and ETL and LSA's snapshot mode behind the shared interface. *)
 
 (* A read-only transaction must observe a consistent snapshot while
    writers commit concurrently — same invariant as the LSA snapshot
@@ -519,6 +521,22 @@ let ro_suite =
       (test_ro_nested_atomic_flattens (module Sb7_stm.Tl2));
     Alcotest.test_case "lsa ro nesting flattens" `Quick
       (test_ro_nested_atomic_flattens (module Sb7_stm.Lsa));
+    Alcotest.test_case "norec ro conservation under writers" `Slow
+      (test_ro_reads_consistent (module Sb7_stm.Norec));
+    Alcotest.test_case "etl ro conservation under writers" `Slow
+      (test_ro_reads_consistent (module Sb7_stm.Etl));
+    Alcotest.test_case "norec ro is zero-log" `Quick
+      (test_ro_zero_log (module Sb7_stm.Norec));
+    Alcotest.test_case "etl ro is zero-log" `Quick
+      (test_ro_zero_log (module Sb7_stm.Etl));
+    Alcotest.test_case "norec ro write raises" `Quick
+      (test_ro_write_raises (module Sb7_stm.Norec));
+    Alcotest.test_case "etl ro write raises" `Quick
+      (test_ro_write_raises (module Sb7_stm.Etl));
+    Alcotest.test_case "norec ro nesting flattens" `Quick
+      (test_ro_nested_atomic_flattens (module Sb7_stm.Norec));
+    Alcotest.test_case "etl ro nesting flattens" `Quick
+      (test_ro_nested_atomic_flattens (module Sb7_stm.Etl));
     Alcotest.test_case "tl2 ro inline revalidation" `Slow
       test_tl2_ro_inline_revalidation;
     Alcotest.test_case "astm ro is a pass-through" `Quick
@@ -587,7 +605,8 @@ let test_max_read_set_tracked () =
 
 (* Read-set dedup: re-reading a logged tvar pushes no duplicate entry,
    so both the logged-entry count and commit-time validation scale with
-   DISTINCT tvars, not raw reads. Shared by TL2 and LSA update mode. *)
+   DISTINCT tvars, not raw reads. Shared by TL2, LSA update mode and
+   ETL (NOrec's value log keeps no dedup cache). *)
 let test_dedup_no_duplicate_entries (module S : STM) () =
   S.reset_stats ();
   let cells = Array.init 5 S.make in
@@ -713,10 +732,16 @@ let specific_suite =
       (test_dedup_no_duplicate_entries (module Sb7_stm.Tl2));
     Alcotest.test_case "lsa read-set dedup" `Quick
       (test_dedup_no_duplicate_entries (module Sb7_stm.Lsa));
+    Alcotest.test_case "etl read-set dedup" `Quick
+      (test_dedup_no_duplicate_entries (module Sb7_stm.Etl));
     Alcotest.test_case "tl2 bloom-filtered write-set lookup" `Quick
       (test_bloom_skips_and_correctness (module Sb7_stm.Tl2));
     Alcotest.test_case "lsa bloom-filtered write-set lookup" `Quick
       (test_bloom_skips_and_correctness (module Sb7_stm.Lsa));
+    Alcotest.test_case "etl bloom-filtered write-set lookup" `Quick
+      (test_bloom_skips_and_correctness (module Sb7_stm.Etl));
+    Alcotest.test_case "norec bloom-filtered write-set lookup" `Quick
+      (test_bloom_skips_and_correctness (module Sb7_stm.Norec));
     Alcotest.test_case "new counters exported" `Quick test_counters_exported;
     Alcotest.test_case "tl2 descriptor pool recycling" `Slow
       (test_pool_recycling (module Sb7_stm.Tl2));
@@ -734,6 +759,8 @@ let () =
       ("tl2", Tl2_tests.suite);
       ("astm", Astm_tests.suite);
       ("lsa", Lsa_tests.suite);
+      ("norec", Norec_tests.suite);
+      ("etl", Etl_tests.suite);
       ("lsa-snapshot", lsa_specific_suite);
       ("ro", ro_suite);
       ("specific", specific_suite);

@@ -114,6 +114,15 @@ let lsa_prop =
   stm_prop "lsa matches the sequential model" ~atomic:Sb7_stm.Lsa.atomic
     ~read:Sb7_stm.Lsa.read ~write:Sb7_stm.Lsa.write ~make:Sb7_stm.Lsa.make
 
+let norec_prop =
+  stm_prop "norec matches the sequential model" ~atomic:Sb7_stm.Norec.atomic
+    ~read:Sb7_stm.Norec.read ~write:Sb7_stm.Norec.write
+    ~make:Sb7_stm.Norec.make
+
+let etl_prop =
+  stm_prop "etl matches the sequential model" ~atomic:Sb7_stm.Etl.atomic
+    ~read:Sb7_stm.Etl.read ~write:Sb7_stm.Etl.write ~make:Sb7_stm.Etl.make
+
 let fine_prop =
   let module F = Sb7_runtime.Fine_runtime in
   let profile =
@@ -159,5 +168,13 @@ let () =
     [
       ( "model",
         List.map QCheck_alcotest.to_alcotest
-          [ tl2_prop; astm_prop; lsa_prop; fine_prop; lsa_snapshot_prop ] );
+          [
+            tl2_prop;
+            astm_prop;
+            lsa_prop;
+            norec_prop;
+            etl_prop;
+            fine_prop;
+            lsa_snapshot_prop;
+          ] );
     ]
