@@ -251,30 +251,6 @@ let quick (s : settings) =
      JSON trajectory) picks up new runtimes automatically. *)
   let runtimes = Sb7_runtime.Registry.names in
   let s = { s with scale = Sb7_core.Parameters.tiny; scale_name = "tiny" } in
-  let counter_keys =
-    [
-      "commits";
-      "aborts";
-      "validation_steps";
-      "max_read_set";
-      "read_set_entries";
-      "dedup_hits";
-      "bloom_skips";
-      "extensions";
-      "clock_reuses";
-      "ro_zero_log_commits";
-      "ro_inline_revalidations";
-      "ro_demotions";
-      "checkpoints";
-      "partial_aborts";
-      "reads_salvaged";
-      "resume_failures";
-      "epoch_decisions";
-      "substrate_switches";
-      "descriptor_pool_hits";
-      "descriptor_pool_misses";
-    ]
-  in
   let results =
     List.map
       (fun runtime ->
@@ -569,7 +545,7 @@ let quick (s : settings) =
              (String.concat ""
                 (List.map
                    (fun k -> Printf.sprintf ", %S: %d" k (c k))
-                   counter_keys))
+                   Sb7_stm.Stm_stats.names))
              (if i = List.length results - 1 then "" else ",")))
       results;
     Buffer.add_string b "  ],\n";
@@ -592,7 +568,7 @@ let quick (s : settings) =
              (String.concat ""
                 (List.map
                    (fun k -> Printf.sprintf ", %S: %d" k (c k))
-                   counter_keys))
+                   Sb7_stm.Stm_stats.names))
              (if i = List.length ro_results - 1 then "" else ",")))
       ro_results;
     Buffer.add_string b "  ]},\n";

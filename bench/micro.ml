@@ -226,7 +226,10 @@ let run_in_domains n (f : unit -> unit) =
 
 let scaling_tests =
   let shared = Atomic.make 0 in
-  let sharded = Sb7_stm.Sharded_counter.create () in
+  let module C = Sb7_stm.Sharded_counter in
+  let schema = C.schema () in
+  let hits = C.declare schema "hits" in
+  let sharded = C.create schema in
   let cas_ids = Atomic.make 0 in
   let chunked = Sb7_stm.Tvar_id.create () in
   let test name n body =
@@ -239,7 +242,7 @@ let scaling_tests =
   in
   let sharded_body () =
     for _ = 1 to contended_iters do
-      Sb7_stm.Sharded_counter.incr sharded
+      C.incr sharded hits
     done
   in
   let cas_body () =

@@ -19,7 +19,7 @@ type r1 = {
           [r1_prefixes] because per-domain state is a concern in the
           STM and runtime layers too, not just the sync-free core *)
   r1_dls_allowed_units : string list;
-      (** units allowed to use [Domain.DLS] (sharded statistics, the
+      (** units allowed to use [Domain.DLS] (sharded counter sets, the
           chunked id allocator, per-domain transaction contexts) *)
 }
 
@@ -259,15 +259,14 @@ let default =
         r1_exempt_units = [ "Sb7_core" ];
         r1_dls_prefixes =
           [ "Sb7_core__"; "Sb7_stm__"; "Sb7_runtime__"; "Sb7_sanitize__" ];
-        (* The blessed per-domain-state modules: sharded statistics and
-           counters, the chunked tvar-id allocator, the shared STM
+        (* The blessed per-domain-state modules: the sharded counter
+           sets, the chunked tvar-id allocator, the shared STM
            transaction engine (TL2/LSA/NOrec/ETL), ASTM's and the fine
            locks' per-domain transaction contexts, the sanitizer's
            event buffers and nesting-depth tracking, and the
            current-region bracket feeding the footprint replay. *)
         r1_dls_allowed_units =
           [
-            "Sb7_stm__Stm_stats";
             "Sb7_stm__Sharded_counter";
             "Sb7_stm__Tvar_id";
             "Sb7_stm__Txdesc";
@@ -474,9 +473,10 @@ let default =
                owned by the enclosing transaction descriptor; its \
                tvar's .content is published only at commit, under the \
                tvar's version-lock or NOrec's sequence lock" );
-            ( "Sb7_stm__Stm_stats.shard",
-              "padded per-domain statistics shard: only the owning \
-               domain writes it; readers aggregate quiescently" );
+            ( "Sb7_stm__Sharded_counter.shard",
+              "padded per-domain counter shard from Domain.DLS: only \
+               the owning domain writes it; readers aggregate \
+               quiescently" );
             ( "Sb7_harness__Stats.op_stat",
               "per-worker statistics record: each worker owns its \
                slice; the harness merges after join" );

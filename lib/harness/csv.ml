@@ -7,43 +7,21 @@
     - {!per_op_rows} — one line per operation of a run: the detailed
       results section as data. *)
 
+(* The STM counters exported per summary row, one column each in
+   declaration order; 0 for counters a runtime does not export. *)
 let header_summary =
-  "runtime,workload,threads,scale,index,long_traversals,structure_mods,\
-   reduced,elapsed_s,successes,failures,throughput_ops,started_ops,\
-   commits,aborts,validation_steps,max_read_set,read_set_entries,\
-   dedup_hits,bloom_skips,extensions,clock_reuses,ro_zero_log_commits,\
-   ro_inline_revalidations,ro_demotions,checkpoints,partial_aborts,\
-   reads_salvaged,resume_failures,epoch_decisions,substrate_switches,\
-   descriptor_pool_hits,descriptor_pool_misses,\
-   minor_gc_per_1k_commits,\
-   major_gc_per_1k_commits,minor_words_per_commit,minor_heap_words,\
-   commit_imbalance,\
-   per_domain_successes,seed,champion_occupancy,sanitizer"
-
-(* The STM counters exported per summary row; 0 for lock runtimes. *)
-let summary_counters =
-  [
-    "commits";
-    "aborts";
-    "validation_steps";
-    "max_read_set";
-    "read_set_entries";
-    "dedup_hits";
-    "bloom_skips";
-    "extensions";
-    "clock_reuses";
-    "ro_zero_log_commits";
-    "ro_inline_revalidations";
-    "ro_demotions";
-    "checkpoints";
-    "partial_aborts";
-    "reads_salvaged";
-    "resume_failures";
-    "epoch_decisions";
-    "substrate_switches";
-    "descriptor_pool_hits";
-    "descriptor_pool_misses";
-  ]
+  String.concat ","
+    ([
+       "runtime,workload,threads,scale,index,long_traversals,\
+        structure_mods,reduced,elapsed_s,successes,failures,\
+        throughput_ops,started_ops";
+     ]
+    @ Sb7_stm.Stm_stats.names
+    @ [
+        "minor_gc_per_1k_commits,major_gc_per_1k_commits,\
+         minor_words_per_commit,minor_heap_words,commit_imbalance,\
+         per_domain_successes,seed,champion_occupancy,sanitizer";
+      ])
 
 let escape field =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') field then
@@ -64,7 +42,7 @@ let summary_row (r : Run_result.t) =
     (String.concat ","
        (List.map
           (fun k -> string_of_int (Run_result.counter r k))
-          summary_counters))
+          Sb7_stm.Stm_stats.names))
   (* Semicolon-joined so the per-domain vector stays one CSV field. *)
   ^ Printf.sprintf ",%.3f,%.3f,%.1f,%d,%.3f,%s,%d,%s,%s"
       (Run_result.minor_gc_per_1k_commits r)

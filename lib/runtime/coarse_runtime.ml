@@ -2,7 +2,7 @@
     read-write lock protects the entire data structure. Read-only
     operations take it in read mode, everything else in write mode. *)
 
-module Counter = Sb7_stm.Sharded_counter
+module C = Sb7_stm.Sharded_counter
 
 let name = "coarse"
 
@@ -13,21 +13,24 @@ let read tv = !tv
 let write tv v = tv := v
 
 let global = Sb7_rwlock.Rwlock.create ~name:"global" ()
-let read_acquisitions = Counter.create ()
-let write_acquisitions = Counter.create ()
-let commits = Counter.create ()
+let schema = C.schema ()
+let read_acquisitions = C.declare schema "read_acquisitions"
+let write_acquisitions = C.declare schema "write_acquisitions"
+let commits = C.declare schema "commits"
+let _aborts = C.declare schema "aborts" (* exported, never recorded *)
+let counters = C.create schema
 
 let atomic ~profile f =
   let mode : Sb7_rwlock.Rwlock.mode =
     if Op_profile.read_only profile then Read else Write
   in
   (match mode with
-  | Read -> Counter.incr read_acquisitions
-  | Write -> Counter.incr write_acquisitions);
+  | Read -> C.incr counters read_acquisitions
+  | Write -> C.incr counters write_acquisitions);
   let result = Sb7_rwlock.Rwlock.with_lock global mode f in
   (* Only normal returns count, mirroring the STM runtimes where an
      operation that raises rolls back and is not a commit. *)
-  Counter.incr commits;
+  C.incr counters commits;
   result
 
 (* Lock-based execution holds its locks for the whole operation and
@@ -36,15 +39,5 @@ let partial_abort = false
 let checkpoint ~acc = ignore acc
 let resume () = (0, 0)
 
-let stats () =
-  [
-    ("read_acquisitions", Counter.get read_acquisitions);
-    ("write_acquisitions", Counter.get write_acquisitions);
-    ("commits", Counter.get commits);
-    ("aborts", 0);
-  ]
-
-let reset_stats () =
-  Counter.reset read_acquisitions;
-  Counter.reset write_acquisitions;
-  Counter.reset commits
+let stats () = C.to_assoc schema (C.snapshot counters)
+let reset_stats () = C.reset counters

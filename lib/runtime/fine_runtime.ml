@@ -23,7 +23,7 @@
     needs an undo log and restart — "implementing it efficiently would
     be much more complex than using an STM". *)
 
-module Counter = Sb7_stm.Sharded_counter
+module C = Sb7_stm.Sharded_counter
 
 exception Restart
 
@@ -68,10 +68,16 @@ let fresh_ctx () =
     backoff = Sb7_stm.Backoff.for_domain ();
   }
 
-let acquisitions = Counter.create ()
-let restarts = Counter.create ()
-let upgrades = Counter.create ()
-let commits = Counter.create ()
+let schema = C.schema ()
+let acquisitions = C.declare schema "acquisitions"
+let restarts = C.declare schema "restarts"
+let upgrades = C.declare schema "upgrades"
+let commits = C.declare schema "commits"
+
+(* Restarts are this runtime's aborts: an operation that could not take
+   a lock rolled back and reran. Both are recorded on every restart. *)
+let aborts = C.declare schema "aborts"
+let counters = C.create schema
 
 let try_read_lock lock =
   let rec attempt spins =
@@ -112,7 +118,7 @@ let lock_for_read ctx tv =
   | Some _ -> () (* already held in either mode *)
   | None ->
     if not (try_read_lock tv.lock) then raise Restart;
-    Counter.incr acquisitions;
+    C.incr counters acquisitions;
     Hooks.on_acquire ~id:(lock_uid tv) ~exclusive:false;
     Hashtbl.add ctx.held tv.id
       ( ref Held_read,
@@ -126,7 +132,7 @@ let lock_for_write ctx tv =
   | Some (({ contents = Held_read } as mode), _) ->
     (* Upgrade: legal only as the sole reader (1 -> -1). *)
     if Atomic.compare_and_set tv.lock 1 (-1) then begin
-      Counter.incr upgrades;
+      C.incr counters upgrades;
       Hooks.on_release ~id:(lock_uid tv) ~exclusive:false;
       Hooks.on_acquire ~id:(lock_uid tv) ~exclusive:true;
       mode := Held_write;
@@ -139,7 +145,7 @@ let lock_for_write ctx tv =
     else raise Restart
   | None ->
     if not (try_write_lock tv.lock) then raise Restart;
-    Counter.incr acquisitions;
+    C.incr counters acquisitions;
     Hooks.on_acquire ~id:(lock_uid tv) ~exclusive:true;
     Hashtbl.add ctx.held tv.id
       ( ref Held_write,
@@ -194,13 +200,14 @@ let atomic ~profile f =
         ctx.undo <- [];
         release_all ctx;
         Sb7_stm.Backoff.reset ctx.backoff;
-        Counter.incr commits;
+        C.incr counters commits;
         result
       | exception Restart ->
         st.active <- None;
         rollback ctx;
         release_all ctx;
-        Counter.incr restarts;
+        C.incr counters restarts;
+        C.incr counters aborts;
         Sb7_stm.Backoff.once ctx.backoff;
         attempt ()
       | exception exn ->
@@ -219,19 +226,5 @@ let partial_abort = false
 let checkpoint ~acc = ignore acc
 let resume () = (0, 0)
 
-let stats () =
-  [
-    ("acquisitions", Counter.get acquisitions);
-    ("restarts", Counter.get restarts);
-    ("upgrades", Counter.get upgrades);
-    ("commits", Counter.get commits);
-    (* Restarts are this runtime's aborts: an operation that could not
-       take a lock rolled back and reran. *)
-    ("aborts", Counter.get restarts);
-  ]
-
-let reset_stats () =
-  Counter.reset acquisitions;
-  Counter.reset restarts;
-  Counter.reset upgrades;
-  Counter.reset commits
+let stats () = C.to_assoc schema (C.snapshot counters)
+let reset_stats () = C.reset counters

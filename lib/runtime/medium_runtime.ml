@@ -11,7 +11,7 @@
     {!Op_profile.locking_plan}, so the strategy is deadlock-free. *)
 
 module Rwlock = Sb7_rwlock.Rwlock
-module Counter = Sb7_stm.Sharded_counter
+module C = Sb7_stm.Sharded_counter
 
 let name = "medium"
 
@@ -29,10 +29,13 @@ let domain_locks =
 
 let lock_of_domain d = domain_locks.(Op_profile.domain_rank d)
 
-let read_acquisitions = Counter.create ()
-let write_acquisitions = Counter.create ()
-let structural_ops = Counter.create ()
-let commits = Counter.create ()
+let schema = C.schema ()
+let read_acquisitions = C.declare schema "read_acquisitions"
+let write_acquisitions = C.declare schema "write_acquisitions"
+let structural_ops = C.declare schema "structural_ops"
+let commits = C.declare schema "commits"
+let _aborts = C.declare schema "aborts" (* exported, never recorded *)
+let counters = C.create schema
 
 (* Seeded-bug fixture for the sanitizer (docs/SANITIZER.md): when set,
    the first write-mode entry of every locking plan is silently skipped
@@ -61,10 +64,10 @@ let acquire_plan plan =
     (fun (d, mode) ->
       match mode with
       | `Read ->
-        Counter.incr read_acquisitions;
+        C.incr counters read_acquisitions;
         Rwlock.acquire_read (lock_of_domain d)
       | `Write ->
-        Counter.incr write_acquisitions;
+        C.incr counters write_acquisitions;
         Rwlock.acquire_write (lock_of_domain d))
     plan
 
@@ -79,7 +82,7 @@ let release_plan plan =
 let atomic ~profile f =
   let structure_mode : Rwlock.mode =
     if profile.Op_profile.structural then begin
-      Counter.incr structural_ops;
+      C.incr counters structural_ops;
       Write
     end
     else Read
@@ -93,7 +96,7 @@ let atomic ~profile f =
     Rwlock.release structure_lock structure_mode;
     (* Only normal returns count, mirroring the STM runtimes where an
        operation that raises rolls back and is not a commit. *)
-    Counter.incr commits;
+    C.incr counters commits;
     result
   | exception exn ->
     release_plan plan;
@@ -106,17 +109,5 @@ let partial_abort = false
 let checkpoint ~acc = ignore acc
 let resume () = (0, 0)
 
-let stats () =
-  [
-    ("read_acquisitions", Counter.get read_acquisitions);
-    ("write_acquisitions", Counter.get write_acquisitions);
-    ("structural_ops", Counter.get structural_ops);
-    ("commits", Counter.get commits);
-    ("aborts", 0);
-  ]
-
-let reset_stats () =
-  Counter.reset read_acquisitions;
-  Counter.reset write_acquisitions;
-  Counter.reset structural_ops;
-  Counter.reset commits
+let stats () = C.to_assoc schema (C.snapshot counters)
+let reset_stats () = C.reset counters

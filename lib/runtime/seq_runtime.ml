@@ -3,7 +3,7 @@
     validation, deterministic tests and as the bechamel micro-benchmark
     baseline. *)
 
-module Counter = Sb7_stm.Sharded_counter
+module C = Sb7_stm.Sharded_counter
 
 let name = "seq"
 
@@ -13,17 +13,20 @@ let make v = ref v
 let read tv = !tv
 let write tv v = tv := v
 
-let operations = Counter.create ()
-let commits = Counter.create ()
+let schema = C.schema ()
+let operations = C.declare schema "operations"
+let commits = C.declare schema "commits"
+let _aborts = C.declare schema "aborts" (* exported, never recorded *)
+let counters = C.create schema
 
 let atomic ~profile f =
   ignore (profile : Op_profile.t);
-  Counter.incr operations;
+  C.incr counters operations;
   let result = f () in
   (* Counted only on normal return, mirroring the STM runtimes where an
      operation that raises (e.g. [Operation_failed]) rolls back and is
      not a commit. *)
-  Counter.incr commits;
+  C.incr counters commits;
   result
 
 (* Sequential execution never conflicts, so there is nothing to
@@ -32,13 +35,5 @@ let partial_abort = false
 let checkpoint ~acc = ignore acc
 let resume () = (0, 0)
 
-let stats () =
-  [
-    ("operations", Counter.get operations);
-    ("commits", Counter.get commits);
-    ("aborts", 0);
-  ]
-
-let reset_stats () =
-  Counter.reset operations;
-  Counter.reset commits
+let stats () = C.to_assoc schema (C.snapshot counters)
+let reset_stats () = C.reset counters

@@ -253,14 +253,15 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
     else if i = Policy.norec then Norec.stats ()
     else Etl.stats ()
 
-  let signals_of_delta ~(prev : Stm_stats.snapshot)
-      ~(cur : Stm_stats.snapshot) : Policy.signals =
-    let d f = float_of_int (max 0 (f cur - f prev)) in
-    let commits = d (fun (s : Stm_stats.snapshot) -> s.commits) in
-    let aborts = d (fun (s : Stm_stats.snapshot) -> s.aborts) in
-    let ro = d (fun (s : Stm_stats.snapshot) -> s.read_only_commits) in
-    let entries = d (fun (s : Stm_stats.snapshot) -> s.read_set_entries) in
-    let partials = d (fun (s : Stm_stats.snapshot) -> s.partial_aborts) in
+  let signals_of_delta ~prev ~cur : Policy.signals =
+    let d c =
+      float_of_int (max 0 (Stm_stats.get cur c - Stm_stats.get prev c))
+    in
+    let commits = d Stm_stats.commits in
+    let aborts = d Stm_stats.aborts in
+    let ro = d Stm_stats.read_only_commits in
+    let entries = d Stm_stats.read_set_entries in
+    let partials = d Stm_stats.partial_aborts in
     {
       abort_rate = aborts /. Float.max 1. (commits +. aborts);
       ro_rate = ro /. Float.max 1. commits;
@@ -303,13 +304,13 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
       let s = signals_of_delta ~prev:prev_snap.(champ) ~cur in
       prev_snap.(champ) <- cur;
       occupancy.(champ) <- occupancy.(champ) + 1;
-      Stm_stats.record_epoch_decision own_stats;
+      Stm_stats.(incr own_stats epoch_decisions);
       let st = Policy.decide C.policy !policy_state s in
       policy_state := st;
       let next = Policy.champion st in
       if next <> champ then begin
         switch_to ~from_:champ ~to_:next;
-        Stm_stats.record_substrate_switch own_stats
+        Stm_stats.(incr own_stats substrate_switches)
       end;
       Atomic.set deciding false
     end

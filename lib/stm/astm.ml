@@ -253,8 +253,10 @@ let try_commit (tx : txd) =
     raise Conflict
 
 let flush_tx_stats (tx : txd) =
-  Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-  Stm_stats.record_read_set global_stats ~size:tx.nreads
+  let s = Stm_stats.shard global_stats in
+  Stm_stats.(
+    bump s validation_steps tx.validation_steps;
+    record_read_set s ~size:tx.nreads)
 
 let atomic f =
   let st = domain_state () in
@@ -280,7 +282,7 @@ let atomic f =
         st.active_tx <- None;
         ignore (Atomic.compare_and_set tx.status Active Aborted);
         flush_tx_stats tx;
-        Stm_stats.record_abort global_stats;
+        Stm_stats.(incr global_stats aborts);
         Backoff.once st.backoff;
         attempt ()
       | exception exn ->
@@ -297,7 +299,7 @@ let atomic f =
         flush_tx_stats tx;
         if consistent then raise exn
         else begin
-          Stm_stats.record_abort global_stats;
+          Stm_stats.(incr global_stats aborts);
           Backoff.once st.backoff;
           attempt ()
         end
@@ -312,7 +314,7 @@ let atomic f =
    fires and [ro_zero_log_commits] stays 0 by design. *)
 let atomic_ro f = atomic f
 
-let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
+let record_ro_demotion () = Stm_stats.(incr global_stats ro_demotions)
 
 (* No checkpointing either: partial abort would soften the abort-storm
    pathology this STM exists to demonstrate. Full-abort semantics are

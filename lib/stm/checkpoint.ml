@@ -219,7 +219,7 @@ let salvage ck rs stats ~clock ~writes ~own_locks ~blind ~restore ~drop =
       end
     in
     if mark < 0 then begin
-      Stm_stats.record_resume_failure stats;
+      Stm_stats.(incr stats resume_failures);
       -1
     end
     else begin

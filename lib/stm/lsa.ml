@@ -157,7 +157,7 @@ let commit (tx : _ Txdesc.vtx) =
       match Global_clock.tick_or_reuse clock with
       | Ticked wv -> (wv, true)
       | Reused wv ->
-        Stm_stats.record_clock_reuse global_stats;
+        Stm_stats.(incr global_stats clock_reuses);
         (wv, false)
     in
     if
@@ -269,7 +269,7 @@ let atomic_snapshot f = Txdesc.atomic_ro engine ~snapshot:now f
    [Conflict] (ring eviction), counted as an abort. *)
 let atomic_ro f = atomic_snapshot f
 
-let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
+let record_ro_demotion () = Stm_stats.(incr global_stats ro_demotions)
 
 let stats () = Stm_stats.snapshot global_stats
 let reset_stats () = Stm_stats.reset global_stats

@@ -256,10 +256,12 @@ let engine =
       rollback = ignore;
       flush =
         (fun tx ->
-          Stm_stats.record_validation global_stats ~steps:tx.validation_steps;
-          Stm_stats.record_read_set global_stats ~size:tx.nreads;
-          Stm_stats.record_tx_log global_stats ~dedup_hits:0
-            ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions);
+          let s = Stm_stats.shard global_stats in
+          Stm_stats.(
+            bump s validation_steps tx.validation_steps;
+            record_read_set s ~size:tx.nreads;
+            bump s bloom_skips tx.bloom_skips;
+            bump s extensions tx.extensions));
     }
 
 let in_transaction () = Txdesc.in_transaction engine
@@ -305,7 +307,7 @@ let resume () = (0, 0)
 
 let atomic f = Txdesc.atomic engine f
 let atomic_ro f = Txdesc.atomic_ro engine ~snapshot:wait_even f
-let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
+let record_ro_demotion () = Stm_stats.(incr global_stats ro_demotions)
 
 let stats () = Stm_stats.snapshot global_stats
 let reset_stats () = Stm_stats.reset global_stats

@@ -23,10 +23,14 @@ val fetch_and_add : t -> int -> int
 
 val compare_and_set : t -> int -> int -> bool
 
+(** Trailing padding words that keep a padded block's cache line(s)
+    to itself. *)
+val padding_words : int
+
 (** [copy_as_padded v] re-allocates the block of [v] with trailing
     padding words and returns the copy; [v] itself should be dropped.
-    Used for per-domain statistics shards, whose mutable fields must
-    not share lines with a neighbouring shard. Call it only on freshly
+    Used for per-domain records whose mutable fields must not share
+    lines with a neighbouring domain's. Call it only on freshly
     allocated plain records (tag-0 blocks) that nothing else aliases
     yet; any other value is returned unchanged. *)
 val copy_as_padded : 'a -> 'a

@@ -1,371 +1,148 @@
-type snapshot = {
-  commits : int;
-  aborts : int;
-  read_only_commits : int;
-  validation_steps : int;
-  max_read_set : int;
-  read_set_entries : int;
-  dedup_hits : int;
-  bloom_skips : int;
-  extensions : int;
-  clock_reuses : int;
-  ro_zero_log_commits : int;
-  ro_inline_revalidations : int;
-  ro_demotions : int;
-  checkpoints : int;
-  partial_aborts : int;
-  reads_salvaged : int;
-  resume_failures : int;
-  epoch_decisions : int;
-  substrate_switches : int;
-  descriptor_pool_hits : int;
-  descriptor_pool_misses : int;
-}
+(** Shared STM statistics: the counters every substrate (and the
+    tournament meta-runtime) exports, declared once each below in
+    export order — the report, the CSV columns and the quick-bench
+    JSON keys all derive from these declarations.
 
-(* Per-domain shard: plain mutable fields, allocated cache-line padded
-   so two domains' shards never false-share. Recording is a DLS lookup
-   plus local stores — no cross-core RMW anywhere on the commit/abort
-   flush path. *)
-type shard = {
-  mutable s_commits : int;
-  mutable s_aborts : int;
-  mutable s_read_only_commits : int;
-  mutable s_validation_steps : int;
-  mutable s_max_read_set : int;
-  mutable s_read_set_entries : int;
-  mutable s_dedup_hits : int;
-  mutable s_bloom_skips : int;
-  mutable s_extensions : int;
-  mutable s_clock_reuses : int;
-  mutable s_ro_zero_log_commits : int;
-  mutable s_ro_inline_revalidations : int;
-  mutable s_ro_demotions : int;
-  mutable s_checkpoints : int;
-  mutable s_partial_aborts : int;
-  mutable s_reads_salvaged : int;
-  mutable s_resume_failures : int;
-  mutable s_epoch_decisions : int;
-  mutable s_substrate_switches : int;
-  mutable s_descriptor_pool_hits : int;
-  mutable s_descriptor_pool_misses : int;
-}
+    The counters are a {!Sharded_counter} set: recording is a plain
+    store into the calling domain's padded shard, with no cross-core
+    RMW on the per-transaction commit/abort flush path. [snapshot]
+    folds over all shards; the sums are exact once writing domains
+    have been joined and racy-but-non-tearing while they run. *)
 
-type t = {
-  key : shard Domain.DLS.key;
-  registry_lock : Mutex.t;
-  mutable shards : shard list;
-  mutable free : shard list;
-}
+module C = Sharded_counter
 
-let fresh_shard () =
-  Padded_atomic.copy_as_padded
-    {
-      s_commits = 0;
-      s_aborts = 0;
-      s_read_only_commits = 0;
-      s_validation_steps = 0;
-      s_max_read_set = 0;
-      s_read_set_entries = 0;
-      s_dedup_hits = 0;
-      s_bloom_skips = 0;
-      s_extensions = 0;
-      s_clock_reuses = 0;
-      s_ro_zero_log_commits = 0;
-      s_ro_inline_revalidations = 0;
-      s_ro_demotions = 0;
-      s_checkpoints = 0;
-      s_partial_aborts = 0;
-      s_reads_salvaged = 0;
-      s_resume_failures = 0;
-      s_epoch_decisions = 0;
-      s_substrate_switches = 0;
-      s_descriptor_pool_hits = 0;
-      s_descriptor_pool_misses = 0;
-    }
+type t = C.t
+type snapshot = C.snapshot
 
-(* First record_* call on a domain claims a shard: recycled from the
-   free pool if a previous domain exited, freshly registered otherwise.
-   [Domain.at_exit] returns it to the pool *without* zeroing, so totals
-   survive domain exit and the registry is bounded by the peak number
-   of concurrent domains. *)
-let attach t =
-  Mutex.lock t.registry_lock;
-  let shard =
-    match t.free with
-    | s :: rest ->
-        t.free <- rest;
-        s
-    | [] ->
-        let s = fresh_shard () in
-        t.shards <- s :: t.shards;
-        s
-  in
-  Mutex.unlock t.registry_lock;
-  Domain.at_exit (fun () ->
-      Mutex.lock t.registry_lock;
-      t.free <- shard :: t.free;
-      Mutex.unlock t.registry_lock);
-  shard
+let schema = C.schema ()
+let counter ?combine name = C.declare ?combine schema name
 
-let create () =
-  (* The DLS initializer closes over the record it belongs to; a direct
-     [let rec] is rejected (function application on the RHS), so tie
-     the knot through a ref. *)
-  let holder = ref None in
-  let key = Domain.DLS.new_key (fun () -> attach (Option.get !holder)) in
-  let t = { key; registry_lock = Mutex.create (); shards = []; free = [] } in
-  holder := Some t;
-  t
+(** transactions that committed *)
+let commits = counter "commits"
 
-let shard t = Domain.DLS.get t.key
+(** transactions that aborted due to a conflict *)
+let aborts = counter "aborts"
+
+(** commits with an empty write set *)
+let read_only_commits = counter "read_only_commits"
+
+(** total read-set entries checked during validations; under an
+    invisible-read STM this grows as O(k^2) per transaction *)
+let validation_steps = counter "validation_steps"
+
+(** largest read set observed *)
+let max_read_set = counter ~combine:Max "max_read_set"
+
+(** total read entries logged across all transactions; with read-set
+    dedup this counts distinct-tvar entries (modulo dedup-cache
+    evictions), not raw reads *)
+let read_set_entries = counter "read_set_entries"
+
+(** reads that found their tvar already logged and pushed no duplicate
+    entry *)
+let dedup_hits = counter "dedup_hits"
+
+(** reads that skipped the write-set hash probe because the bloom
+    filter proved the tvar was never buffered (only counted while the
+    write set is non-empty) *)
+let bloom_skips = counter "bloom_skips"
+
+(** successful timestamp (read-version) extensions *)
+let extensions = counter "extensions"
+
+(** commits that reused a concurrent committer's clock value instead
+    of retrying the tick CAS (GV4-style) *)
+let clock_reuses = counter "clock_reuses"
+
+(** commits of zero-log read-only transactions ([atomic_ro] / LSA
+    snapshot mode): no read set, no commit validation *)
+let ro_zero_log_commits = counter "ro_zero_log_commits"
+
+(** TL2 [atomic_ro] restarts caused by a read finding a version newer
+    than the snapshot's read version (the closure is re-run at a fresh
+    rv; counted here, not as an abort) *)
+let ro_inline_revalidations = counter "ro_inline_revalidations"
+
+(** declared-read-only operations that attempted a write, raised
+    [Write_in_read_only] and were demoted to update mode by the
+    runtime dispatch layer *)
+let ro_demotions = counter "ro_demotions"
+
+(** watermarks recorded by [S.checkpoint] inside update transactions
+    (no-op calls outside a transaction or in read-only mode are not
+    counted) *)
+let checkpoints = counter "checkpoints"
+
+(** conflicts resolved by rolling back to the last valid watermark and
+    resuming, instead of restarting the attempt *)
+let partial_aborts = counter "partial_aborts"
+
+(** read-set entries kept (prefix-validated) across all partial aborts
+    — the work a full abort would have thrown away *)
+let reads_salvaged = counter "reads_salvaged"
+
+(** conflicts where checkpoints existed but even the earliest
+    watermark's prefix was invalid, forcing a full abort *)
+let resume_failures = counter "resume_failures"
+
+(** tournament-runtime epoch boundaries at which the champion policy
+    was (re-)evaluated; recorded by the meta-runtime into its own
+    set, never by a substrate *)
+let epoch_decisions = counter "epoch_decisions"
+
+(** epoch decisions that crowned a new champion substrate and paid the
+    quiesce + tvar-migration fence *)
+let substrate_switches = counter "substrate_switches"
+
+(** domains whose first transaction adopted a recycled descriptor
+    (with its learned log capacities) from the substrate's free pool
+    instead of allocating afresh — at most once per domain lifetime *)
+let descriptor_pool_hits = counter "descriptor_pool_hits"
+
+(** domains that allocated a fresh descriptor because the pool was
+    empty (cold start) or pooling was disabled *)
+let descriptor_pool_misses = counter "descriptor_pool_misses"
+
+let create () = C.create schema
+let zero = C.zero schema
+let add = C.add schema
+let to_assoc = C.to_assoc schema
+let pp = C.pp schema
+let names = List.map fst (to_assoc zero)
+let shard = C.shard
+let incr = C.incr
+let bump = C.bump
+let snapshot = C.snapshot
+let reset = C.reset
+let get = C.get
+
+(* The helpers below move several counters together. *)
 
 let record_commit t ~read_only =
   let s = shard t in
-  s.s_commits <- s.s_commits + 1;
-  if read_only then s.s_read_only_commits <- s.s_read_only_commits + 1
+  bump s commits 1;
+  if read_only then bump s read_only_commits 1
 
-let record_abort t =
-  let s = shard t in
-  s.s_aborts <- s.s_aborts + 1
-
-let record_validation t ~steps =
-  let s = shard t in
-  s.s_validation_steps <- s.s_validation_steps + steps
-
-let record_read_set t ~size =
-  let s = shard t in
-  if size > 0 then s.s_read_set_entries <- s.s_read_set_entries + size;
-  if size > s.s_max_read_set then s.s_max_read_set <- size
-
-let record_tx_log t ~dedup_hits ~bloom_skips ~extensions =
-  let s = shard t in
-  if dedup_hits > 0 then s.s_dedup_hits <- s.s_dedup_hits + dedup_hits;
-  if bloom_skips > 0 then s.s_bloom_skips <- s.s_bloom_skips + bloom_skips;
-  if extensions > 0 then s.s_extensions <- s.s_extensions + extensions
-
-let record_clock_reuse t =
-  let s = shard t in
-  s.s_clock_reuses <- s.s_clock_reuses + 1
-
-(* A zero-log read-only commit is still a commit (and trivially a
-   read-only one): the three cells move together so [commits] stays the
-   total across both modes. *)
+(** A zero-log read-only commit is still a commit (and trivially a
+    read-only one): the three counters move together so [commits]
+    stays the total across both transaction modes. *)
 let record_ro_commit t =
   let s = shard t in
-  s.s_commits <- s.s_commits + 1;
-  s.s_read_only_commits <- s.s_read_only_commits + 1;
-  s.s_ro_zero_log_commits <- s.s_ro_zero_log_commits + 1
+  bump s commits 1;
+  bump s read_only_commits 1;
+  bump s ro_zero_log_commits 1
 
-let record_ro_revalidation t =
+(** One transaction's read set: adds to [read_set_entries] and raises
+    [max_read_set]. *)
+let record_read_set s ~size =
+  bump s read_set_entries size;
+  C.bump_max s max_read_set size
+
+(** A partial abort salvages the validated read-set prefix: the
+    attempt rolls back to its last valid watermark instead of
+    restarting, and [reads_salvaged] counts the read entries it
+    kept. *)
+let record_partial_abort t ~reads_salvaged:n =
   let s = shard t in
-  s.s_ro_inline_revalidations <- s.s_ro_inline_revalidations + 1
-
-let record_ro_demotion t =
-  let s = shard t in
-  s.s_ro_demotions <- s.s_ro_demotions + 1
-
-(* Flushed per attempt alongside record_tx_log rather than one DLS
-   lookup per checkpoint mark. *)
-let record_checkpoints t ~count =
-  if count > 0 then begin
-    let s = shard t in
-    s.s_checkpoints <- s.s_checkpoints + count
-  end
-
-(* A partial abort salvages the validated read-set prefix: the attempt
-   rolls back to its last valid watermark instead of restarting, and
-   [reads_salvaged] counts the read entries it kept. *)
-let record_partial_abort t ~reads_salvaged =
-  let s = shard t in
-  s.s_partial_aborts <- s.s_partial_aborts + 1;
-  s.s_reads_salvaged <- s.s_reads_salvaged + reads_salvaged
-
-(* A conflict arrived while checkpoints existed but even the earliest
-   watermark's prefix failed validation: the attempt fell back to a
-   full abort. *)
-let record_resume_failure t =
-  let s = shard t in
-  s.s_resume_failures <- s.s_resume_failures + 1
-
-(* Adaptive meta-runtime events (the tournament runtime): an epoch
-   decision is one end-of-epoch policy evaluation; a substrate switch
-   is a decision that crowned a new champion (and paid the quiesce +
-   migration fence). Recorded into the meta-runtime's own instance —
-   the substrates themselves never touch these. *)
-let record_epoch_decision t =
-  let s = shard t in
-  s.s_epoch_decisions <- s.s_epoch_decisions + 1
-
-let record_substrate_switch t =
-  let s = shard t in
-  s.s_substrate_switches <- s.s_substrate_switches + 1
-
-(* Descriptor-pool accounting: a hit is a domain's first transaction
-   adopting a recycled descriptor (with its learned log capacities);
-   a miss is a fresh allocation because the pool was empty or pooling
-   was disabled. At most one of these per (domain, substrate) pair per
-   domain lifetime — steady state records neither. *)
-let record_pool_hit t =
-  let s = shard t in
-  s.s_descriptor_pool_hits <- s.s_descriptor_pool_hits + 1
-
-let record_pool_miss t =
-  let s = shard t in
-  s.s_descriptor_pool_misses <- s.s_descriptor_pool_misses + 1
-
-let zero : snapshot =
-  {
-    commits = 0;
-    aborts = 0;
-    read_only_commits = 0;
-    validation_steps = 0;
-    max_read_set = 0;
-    read_set_entries = 0;
-    dedup_hits = 0;
-    bloom_skips = 0;
-    extensions = 0;
-    clock_reuses = 0;
-    ro_zero_log_commits = 0;
-    ro_inline_revalidations = 0;
-    ro_demotions = 0;
-    checkpoints = 0;
-    partial_aborts = 0;
-    reads_salvaged = 0;
-    resume_failures = 0;
-    epoch_decisions = 0;
-    substrate_switches = 0;
-    descriptor_pool_hits = 0;
-    descriptor_pool_misses = 0;
-  }
-
-let add_shard (acc : snapshot) (s : shard) : snapshot =
-  {
-    commits = acc.commits + s.s_commits;
-    aborts = acc.aborts + s.s_aborts;
-    read_only_commits = acc.read_only_commits + s.s_read_only_commits;
-    validation_steps = acc.validation_steps + s.s_validation_steps;
-    max_read_set = max acc.max_read_set s.s_max_read_set;
-    read_set_entries = acc.read_set_entries + s.s_read_set_entries;
-    dedup_hits = acc.dedup_hits + s.s_dedup_hits;
-    bloom_skips = acc.bloom_skips + s.s_bloom_skips;
-    extensions = acc.extensions + s.s_extensions;
-    clock_reuses = acc.clock_reuses + s.s_clock_reuses;
-    ro_zero_log_commits = acc.ro_zero_log_commits + s.s_ro_zero_log_commits;
-    ro_inline_revalidations =
-      acc.ro_inline_revalidations + s.s_ro_inline_revalidations;
-    ro_demotions = acc.ro_demotions + s.s_ro_demotions;
-    checkpoints = acc.checkpoints + s.s_checkpoints;
-    partial_aborts = acc.partial_aborts + s.s_partial_aborts;
-    reads_salvaged = acc.reads_salvaged + s.s_reads_salvaged;
-    resume_failures = acc.resume_failures + s.s_resume_failures;
-    epoch_decisions = acc.epoch_decisions + s.s_epoch_decisions;
-    substrate_switches = acc.substrate_switches + s.s_substrate_switches;
-    descriptor_pool_hits =
-      acc.descriptor_pool_hits + s.s_descriptor_pool_hits;
-    descriptor_pool_misses =
-      acc.descriptor_pool_misses + s.s_descriptor_pool_misses;
-  }
-
-(* Plain reads of another domain's shard fields are racy but
-   non-tearing (int fields) under the OCaml memory model; once the
-   writing domains are joined the sums are exact. Mid-run the fold is
-   not a cross-shard snapshot, same as the old atomic version. *)
-let snapshot t : snapshot =
-  Mutex.lock t.registry_lock;
-  let shards = t.shards in
-  Mutex.unlock t.registry_lock;
-  List.fold_left add_shard zero shards
-
-let reset t =
-  Mutex.lock t.registry_lock;
-  List.iter
-    (fun s ->
-      s.s_commits <- 0;
-      s.s_aborts <- 0;
-      s.s_read_only_commits <- 0;
-      s.s_validation_steps <- 0;
-      s.s_max_read_set <- 0;
-      s.s_read_set_entries <- 0;
-      s.s_dedup_hits <- 0;
-      s.s_bloom_skips <- 0;
-      s.s_extensions <- 0;
-      s.s_clock_reuses <- 0;
-      s.s_ro_zero_log_commits <- 0;
-      s.s_ro_inline_revalidations <- 0;
-      s.s_ro_demotions <- 0;
-      s.s_checkpoints <- 0;
-      s.s_partial_aborts <- 0;
-      s.s_reads_salvaged <- 0;
-      s.s_resume_failures <- 0;
-      s.s_epoch_decisions <- 0;
-      s.s_substrate_switches <- 0;
-      s.s_descriptor_pool_hits <- 0;
-      s.s_descriptor_pool_misses <- 0)
-    t.shards;
-  Mutex.unlock t.registry_lock
-
-let add (a : snapshot) (b : snapshot) : snapshot =
-  {
-    commits = a.commits + b.commits;
-    aborts = a.aborts + b.aborts;
-    read_only_commits = a.read_only_commits + b.read_only_commits;
-    validation_steps = a.validation_steps + b.validation_steps;
-    max_read_set = max a.max_read_set b.max_read_set;
-    read_set_entries = a.read_set_entries + b.read_set_entries;
-    dedup_hits = a.dedup_hits + b.dedup_hits;
-    bloom_skips = a.bloom_skips + b.bloom_skips;
-    extensions = a.extensions + b.extensions;
-    clock_reuses = a.clock_reuses + b.clock_reuses;
-    ro_zero_log_commits = a.ro_zero_log_commits + b.ro_zero_log_commits;
-    ro_inline_revalidations =
-      a.ro_inline_revalidations + b.ro_inline_revalidations;
-    ro_demotions = a.ro_demotions + b.ro_demotions;
-    checkpoints = a.checkpoints + b.checkpoints;
-    partial_aborts = a.partial_aborts + b.partial_aborts;
-    reads_salvaged = a.reads_salvaged + b.reads_salvaged;
-    resume_failures = a.resume_failures + b.resume_failures;
-    epoch_decisions = a.epoch_decisions + b.epoch_decisions;
-    substrate_switches = a.substrate_switches + b.substrate_switches;
-    descriptor_pool_hits = a.descriptor_pool_hits + b.descriptor_pool_hits;
-    descriptor_pool_misses =
-      a.descriptor_pool_misses + b.descriptor_pool_misses;
-  }
-
-let to_assoc (s : snapshot) =
-  [
-    ("commits", s.commits);
-    ("aborts", s.aborts);
-    ("read_only_commits", s.read_only_commits);
-    ("validation_steps", s.validation_steps);
-    ("max_read_set", s.max_read_set);
-    ("read_set_entries", s.read_set_entries);
-    ("dedup_hits", s.dedup_hits);
-    ("bloom_skips", s.bloom_skips);
-    ("extensions", s.extensions);
-    ("clock_reuses", s.clock_reuses);
-    ("ro_zero_log_commits", s.ro_zero_log_commits);
-    ("ro_inline_revalidations", s.ro_inline_revalidations);
-    ("ro_demotions", s.ro_demotions);
-    ("checkpoints", s.checkpoints);
-    ("partial_aborts", s.partial_aborts);
-    ("reads_salvaged", s.reads_salvaged);
-    ("resume_failures", s.resume_failures);
-    ("epoch_decisions", s.epoch_decisions);
-    ("substrate_switches", s.substrate_switches);
-    ("descriptor_pool_hits", s.descriptor_pool_hits);
-    ("descriptor_pool_misses", s.descriptor_pool_misses);
-  ]
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "commits=%d aborts=%d ro_commits=%d validation_steps=%d max_read_set=%d \
-     read_set_entries=%d dedup_hits=%d bloom_skips=%d extensions=%d \
-     clock_reuses=%d ro_zero_log=%d ro_revalidations=%d ro_demotions=%d \
-     checkpoints=%d partial_aborts=%d reads_salvaged=%d resume_failures=%d \
-     epoch_decisions=%d substrate_switches=%d pool_hits=%d pool_misses=%d"
-    s.commits s.aborts s.read_only_commits s.validation_steps s.max_read_set
-    s.read_set_entries s.dedup_hits s.bloom_skips s.extensions s.clock_reuses
-    s.ro_zero_log_commits s.ro_inline_revalidations s.ro_demotions
-    s.checkpoints s.partial_aborts s.reads_salvaged s.resume_failures
-    s.epoch_decisions s.substrate_switches s.descriptor_pool_hits
-    s.descriptor_pool_misses
+  bump s partial_aborts 1;
+  bump s reads_salvaged n

@@ -166,7 +166,7 @@ let commit (tx : _ Txdesc.vtx) =
       match Global_clock.tick_or_reuse clock with
       | Ticked wv -> (wv, true)
       | Reused wv ->
-        Stm_stats.record_clock_reuse global_stats;
+        Stm_stats.(incr global_stats clock_reuses);
         (wv, false)
     in
     (* If nothing committed since we started, the read set is trivially
@@ -256,7 +256,7 @@ let resume () = Txdesc.resume engine
 let atomic f = Txdesc.atomic engine f
 let now () = Global_clock.now clock
 let atomic_ro f = Txdesc.atomic_ro engine ~snapshot:now f
-let record_ro_demotion () = Stm_stats.record_ro_demotion global_stats
+let record_ro_demotion () = Stm_stats.(incr global_stats ro_demotions)
 
 let stats () = Stm_stats.snapshot global_stats
 let reset_stats () = Stm_stats.reset global_stats

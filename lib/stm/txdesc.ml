@@ -37,11 +37,11 @@ type 'tx hooks = {
   flush : 'tx -> unit; (* account the attempt's tallies *)
 }
 
-(* Descriptor free pool (same shape as the [Stm_stats] shard pool): a
-   domain's first transaction adopts a scrubbed descriptor donated by
-   an exited domain — keeping the log capacities it learned — or
-   allocates fresh on a cold start. [Domain.at_exit] scrubs and donates
-   the spare, so steady-state respawning workers allocate no
+(* Descriptor free pool (same shape as the {!Sharded_counter} shard
+   pool): a domain's first transaction adopts a scrubbed descriptor
+   donated by an exited domain — keeping the log capacities it learned
+   — or allocates fresh on a cold start. [Domain.at_exit] scrubs and
+   donates the spare, so steady-state respawning workers allocate no
    descriptor, no log arrays and no write-set table at all. *)
 type 'tx t = {
   key : 'tx state Domain.DLS.key;
@@ -105,10 +105,10 @@ let acquire t state =
   let tx =
     match popped with
     | Some tx ->
-      Stm_stats.record_pool_hit t.stats;
+      Stm_stats.(incr t.stats descriptor_pool_hits);
       tx
     | None ->
-      Stm_stats.record_pool_miss t.stats;
+      Stm_stats.(incr t.stats descriptor_pool_misses);
       t.hooks.fresh ()
   in
   state.backoff <- Backoff.for_domain ();
@@ -171,7 +171,7 @@ let atomic t f =
             h.rollback tx;
             state.active <- None;
             h.flush tx;
-            Stm_stats.record_abort t.stats;
+            Stm_stats.(incr t.stats aborts);
             Backoff.once state.backoff;
             attempt ~fresh:true ()
           end
@@ -215,14 +215,14 @@ let atomic_ro t ~snapshot f =
              (TinySTM-style). Counted separately from aborts — no
              conflict with a writer's outcome, just a stale start. *)
           state.ro_rv <- -1;
-          Stm_stats.record_ro_revalidation t.stats;
+          Stm_stats.(incr t.stats ro_inline_revalidations);
           attempt ~backed_off ()
         | exception Stm_intf.Conflict ->
           (* Only LSA's snapshot reads conflict here, when a needed
              version was evicted from its ring: an abort, retried at a
              fresh snapshot with backoff, like an update attempt. *)
           state.ro_rv <- -1;
-          Stm_stats.record_abort t.stats;
+          Stm_stats.(incr t.stats aborts);
           Backoff.once state.backoff;
           attempt ~backed_off:true ()
         | exception exn ->
@@ -283,15 +283,17 @@ let reset_vtx clock tx =
   tx.bloom_skips <- 0;
   tx.extensions <- 0
 
-(* Account the attempt's tallies: one batch of shard stores per attempt
-   rather than one per logged read. *)
+(* Account the attempt's tallies: one shard lookup and a batch of
+   stores per attempt rather than one per logged read. *)
 let flush_vtx stats tx =
-  let rs = tx.rs in
-  Stm_stats.record_validation stats ~steps:rs.validation_steps;
-  Stm_stats.record_read_set stats ~size:rs.n;
-  Stm_stats.record_tx_log stats ~dedup_hits:rs.dedup_hits
-    ~bloom_skips:tx.bloom_skips ~extensions:tx.extensions;
-  Stm_stats.record_checkpoints stats ~count:tx.ck.ncheckpoints
+  let rs = tx.rs and s = Stm_stats.shard stats in
+  Stm_stats.(
+    bump s validation_steps rs.validation_steps;
+    record_read_set s ~size:rs.n;
+    bump s dedup_hits rs.dedup_hits;
+    bump s bloom_skips tx.bloom_skips;
+    bump s extensions tx.extensions;
+    bump s checkpoints tx.ck.ncheckpoints)
 
 (* A read observed a version newer than [rv]: revalidate the read set
    and advance [rv] to the clock sampled BEFORE validating, instead of

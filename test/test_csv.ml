@@ -90,6 +90,21 @@ let test_summary_row_fields () =
   Alcotest.(check string) "threads" "2" (List.nth fs 2);
   Alcotest.(check string) "scale" "tiny" (List.nth fs 3)
 
+(* The counter columns follow [started_ops] and are generated from the
+   STM counter declarations: every declared counter, in order. *)
+let test_header_counter_columns () =
+  let names = List.map fst Sb7_stm.Stm_stats.(to_assoc zero) in
+  let rec after_started_ops = function
+    | "started_ops" :: rest -> rest
+    | _ :: rest -> after_started_ops rest
+    | [] -> []
+  in
+  Alcotest.(check (list string))
+    "counter columns are the Stm_stats declarations" names
+    (List.filteri
+       (fun i _ -> i < List.length names)
+       (after_started_ops (fields Csv.header_summary)))
+
 let test_per_op_rows () =
   let r = Lazy.force result in
   let rows = Csv.per_op_rows r in
@@ -140,6 +155,8 @@ let suite =
       test_percentile_no_successes;
     Alcotest.test_case "mean latency" `Quick test_mean_latency;
     Alcotest.test_case "summary row fields" `Slow test_summary_row_fields;
+    Alcotest.test_case "header counter columns" `Quick
+      test_header_counter_columns;
     Alcotest.test_case "per-op rows" `Slow test_per_op_rows;
     Alcotest.test_case "escaping" `Quick test_escape;
     Alcotest.test_case "write summary file" `Slow test_write_summary;

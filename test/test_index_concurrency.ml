@@ -82,7 +82,7 @@ let crossing_commit_aborts kind =
   Alcotest.(check (option int))
     (Index_intf.kind_to_string kind ^ ": tx2 update landed")
     (Some 9950) (index.Index_intf.get 995);
-  stats.Sb7_stm.Stm_stats.aborts
+  Sb7_stm.Stm_stats.(get stats aborts)
 
 let test_btree_conflicts_less_than_avl () =
   Alcotest.(check bool) "avl: crossing commits conflict" true

@@ -446,6 +446,38 @@ let test_registry_names () =
   | Ok _ -> Alcotest.fail "unknown strategy resolved"
   | Error _ -> ()
 
+(* One counter contract for every registered strategy: after a short
+   single-domain run the [stats] keys are unique and include [commits]
+   and [aborts], [reset_stats] zeroes every value, and the STM
+   strategies (the tournament included) lead with the shared STM
+   counters in declaration order — the columns the CSV and the quick
+   bench JSON export. *)
+let test_counter_contract () =
+  let stm_keys = List.map fst Sb7_stm.Stm_stats.(to_assoc zero) in
+  let stm_strategies = [ "tl2"; "lsa"; "norec"; "etl"; "astm"; "tournament" ] in
+  List.iter
+    (fun (name, (module R : Sb7_runtime.Runtime_intf.S)) ->
+      let module Pr = Probe (R) in
+      ignore (Pr.run ~ops_count:300 ~seed:23);
+      let keys = List.map fst (R.stats ()) in
+      Alcotest.(check int) (name ^ " keys unique")
+        (List.length keys)
+        (List.length (List.sort_uniq compare keys));
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (name ^ " exports " ^ k) true (List.mem k keys))
+        [ "commits"; "aborts" ];
+      if List.mem name stm_strategies then
+        Alcotest.(check (list string))
+          (name ^ " leads with the STM counters")
+          stm_keys
+          (List.filteri (fun i _ -> i < List.length stm_keys) keys);
+      R.reset_stats ();
+      List.iter
+        (fun (k, v) -> Alcotest.(check int) (name ^ " " ^ k ^ " reset") 0 v)
+        (R.stats ()))
+    Sb7_runtime.Registry.all
+
 let () =
   Alcotest.run "runtime_equivalence"
     [
@@ -469,5 +501,7 @@ let () =
             test_tournament_hysteresis;
           Alcotest.test_case "registry is the single strategy source" `Quick
             test_registry_names;
+          Alcotest.test_case "every runtime honours the counter contract"
+            `Quick test_counter_contract;
         ] );
     ]

@@ -102,9 +102,10 @@ module Make_stm_tests (Stm : STM) = struct
     done;
     Stm.atomic (fun () -> ignore (Stm.read tv));
     let s = Stm.stats () in
-    Alcotest.(check bool) "commits >= 6" true (s.Sb7_stm.Stm_stats.commits >= 6);
+    Alcotest.(check bool) "commits >= 6" true
+      (Sb7_stm.Stm_stats.(get s commits) >= 6);
     Alcotest.(check bool) "a read-only commit" true
-      (s.Sb7_stm.Stm_stats.read_only_commits >= 1)
+      (Sb7_stm.Stm_stats.(get s read_only_commits) >= 1)
 
   (* Lost-update freedom: concurrent read-modify-write increments. *)
   let test_concurrent_counter () =
@@ -189,7 +190,7 @@ module Make_stm_tests (Stm : STM) = struct
     let s = Stm.stats () in
     Alcotest.(check int) "all committed eventually" 8_000 (Stm.read tv);
     Alcotest.(check bool) "commits recorded" true
-      (s.Sb7_stm.Stm_stats.commits >= 8_000)
+      (Sb7_stm.Stm_stats.(get s commits) >= 8_000)
 
   let suite =
     [
@@ -270,7 +271,7 @@ let test_lsa_snapshot_needs_no_validation () =
       Array.iter (fun tv -> ignore (L.read tv)) cells);
   let s = L.stats () in
   Alcotest.(check int) "zero validation steps" 0
-    s.Sb7_stm.Stm_stats.validation_steps
+    Sb7_stm.Stm_stats.(get s validation_steps)
 
 let test_lsa_snapshot_reads_old_version () =
   let module L = Sb7_stm.Lsa in
@@ -426,12 +427,12 @@ let test_ro_zero_log (module S : STM) () =
   Alcotest.(check int) "reads correct" (199 * 200 / 2) sum;
   let s = S.stats () in
   let open Sb7_stm.Stm_stats in
-  Alcotest.(check int) "no read-set entries" 0 s.read_set_entries;
-  Alcotest.(check int) "max read set stays 0" 0 s.max_read_set;
-  Alcotest.(check int) "no validation" 0 s.validation_steps;
-  Alcotest.(check int) "one zero-log commit" 1 s.ro_zero_log_commits;
-  Alcotest.(check int) "counted as a commit" 1 s.commits;
-  Alcotest.(check int) "counted as read-only" 1 s.read_only_commits
+  Alcotest.(check int) "no read-set entries" 0 (get s read_set_entries);
+  Alcotest.(check int) "max read set stays 0" 0 (get s max_read_set);
+  Alcotest.(check int) "no validation" 0 (get s validation_steps);
+  Alcotest.(check int) "one zero-log commit" 1 (get s ro_zero_log_commits);
+  Alcotest.(check int) "counted as a commit" 1 (get s commits);
+  Alcotest.(check int) "counted as read-only" 1 (get s read_only_commits)
 
 let test_ro_write_raises (module S : STM) () =
   let tv = S.make 0 in
@@ -485,11 +486,11 @@ let test_tl2_ro_inline_revalidation () =
   let open Sb7_stm.Stm_stats in
   Alcotest.(check bool)
     (Printf.sprintf "inline revalidation recorded (got %d)"
-       s.ro_inline_revalidations)
+       (get s ro_inline_revalidations))
     true
-    (s.ro_inline_revalidations >= 1);
-  Alcotest.(check int) "not counted as an abort" 0 s.aborts;
-  Alcotest.(check int) "single ro commit" 1 s.ro_zero_log_commits
+    (get s ro_inline_revalidations >= 1);
+  Alcotest.(check int) "not counted as an abort" 0 (get s aborts);
+  Alcotest.(check int) "single ro commit" 1 (get s ro_zero_log_commits)
 
 (* ASTM's pass-through: no read-only fast path, so a write inside
    [atomic_ro] simply commits (and nothing is ever demoted). *)
@@ -501,7 +502,7 @@ let test_astm_ro_passthrough () =
   Alcotest.(check int) "write committed through the pass-through" 5 (A.read tv);
   let s = A.stats () in
   Alcotest.(check int) "no zero-log commits for astm" 0
-    s.Sb7_stm.Stm_stats.ro_zero_log_commits
+    Sb7_stm.Stm_stats.(get s ro_zero_log_commits)
 
 let ro_suite =
   [
@@ -557,9 +558,9 @@ let test_astm_validation_quadratic () =
   let expected = n * (n - 1) / 2 in
   Alcotest.(check bool)
     (Printf.sprintf "validation steps ~ %d (got %d)" expected
-       s.Sb7_stm.Stm_stats.validation_steps)
+       Sb7_stm.Stm_stats.(get s validation_steps))
     true
-    (s.Sb7_stm.Stm_stats.validation_steps >= expected)
+    (Sb7_stm.Stm_stats.(get s validation_steps) >= expected)
 
 let test_tl2_validation_linear () =
   let module T = Sb7_stm.Tl2 in
@@ -570,7 +571,7 @@ let test_tl2_validation_linear () =
   T.atomic (fun () -> Array.iter (fun tv -> ignore (T.read tv)) cells);
   let s = T.stats () in
   Alcotest.(check int) "no validation for read-only tx" 0
-    s.Sb7_stm.Stm_stats.validation_steps
+    Sb7_stm.Stm_stats.(get s validation_steps)
 
 let test_astm_policies_all_work () =
   let module A = Sb7_stm.Astm in
@@ -601,7 +602,7 @@ let test_max_read_set_tracked () =
   T.atomic (fun () -> Array.iter (fun tv -> ignore (T.read tv)) cells);
   let s = T.stats () in
   Alcotest.(check bool) "max read set >= 50" true
-    (s.Sb7_stm.Stm_stats.max_read_set >= 50)
+    (Sb7_stm.Stm_stats.(get s max_read_set) >= 50)
 
 (* Read-set dedup: re-reading a logged tvar pushes no duplicate entry,
    so both the logged-entry count and commit-time validation scale with
@@ -621,17 +622,17 @@ let test_dedup_no_duplicate_entries (module S : STM) () =
   let open Sb7_stm.Stm_stats in
   Alcotest.(check bool)
     (Printf.sprintf "entries bounded by distinct tvars (got %d)"
-       s.read_set_entries)
-    true (s.read_set_entries <= 5);
+       (get s read_set_entries))
+    true (get s read_set_entries <= 5);
   Alcotest.(check bool)
-    (Printf.sprintf "dedup hits recorded (got %d)" s.dedup_hits)
+    (Printf.sprintf "dedup hits recorded (got %d)" (get s dedup_hits))
     true
-    (s.dedup_hits >= 495);
+    (get s dedup_hits >= 495);
   Alcotest.(check bool)
     (Printf.sprintf "validation O(distinct) at commit (got %d)"
-       s.validation_steps)
+       (get s validation_steps))
     true
-    (s.validation_steps <= 5)
+    (get s validation_steps <= 5)
 
 (* Bloom filter: with one buffered write, reads of never-written tvars
    skip the write-set hash probe — and read-own-write still works. *)
@@ -649,9 +650,9 @@ let test_bloom_skips_and_correctness (module S : STM) () =
   let s = S.stats () in
   Alcotest.(check bool)
     (Printf.sprintf "most probes skipped (got %d)"
-       s.Sb7_stm.Stm_stats.bloom_skips)
+       Sb7_stm.Stm_stats.(get s bloom_skips))
     true
-    (s.Sb7_stm.Stm_stats.bloom_skips >= 40)
+    (Sb7_stm.Stm_stats.(get s bloom_skips) >= 40)
 
 (* The new counters flow through the generic assoc export (the harness
    reads them from there into reports and CSV). *)
@@ -702,20 +703,20 @@ let test_pool_recycling (module S : STM) () =
   let open Sb7_stm.Stm_stats in
   Alcotest.(check bool)
     (Printf.sprintf "wave-2 domains adopted pooled descriptors (%d -> %d)"
-       s1.descriptor_pool_hits s2.descriptor_pool_hits)
+       (get s1 descriptor_pool_hits) (get s2 descriptor_pool_hits))
     true
-    (s2.descriptor_pool_hits >= s1.descriptor_pool_hits + 2);
+    (get s2 descriptor_pool_hits >= get s1 descriptor_pool_hits + 2);
   (* Toggle off: a third wave allocates fresh and donates nothing. *)
   Sb7_stm.Stm_intf.descriptor_pooling_enabled := false;
   let ds = List.init 2 (fun _ -> Domain.spawn (incr_n 10)) in
   List.iter Domain.join ds;
   Sb7_stm.Stm_intf.descriptor_pooling_enabled := true;
   let s3 = S.stats () in
-  Alcotest.(check int) "toggle off: no new hits" s2.descriptor_pool_hits
-    s3.descriptor_pool_hits;
+  Alcotest.(check int) "toggle off: no new hits" (get s2 descriptor_pool_hits)
+    (get s3 descriptor_pool_hits);
   Alcotest.(check bool) "toggle off: fresh descriptors counted as misses"
     true
-    (s3.descriptor_pool_misses >= s2.descriptor_pool_misses + 2);
+    (get s3 descriptor_pool_misses >= get s2 descriptor_pool_misses + 2);
   Alcotest.(check int) "toggle off: still no lost updates" 1220 (S.read tv)
 
 let specific_suite =

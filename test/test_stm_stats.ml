@@ -20,15 +20,17 @@ let test_multi_domain_sums () =
       Stats.record_commit stats ~read_only:false
     done;
     for _ = 1 to aborts do
-      Stats.record_abort stats
+      Stats.incr stats Stats.aborts
     done;
     for _ = 1 to ro do
       Stats.record_ro_commit stats
     done;
-    Stats.record_validation stats ~steps;
-    Stats.record_read_set stats ~size:rs_size;
-    Stats.record_tx_log stats ~dedup_hits:commits ~bloom_skips:aborts
-      ~extensions:ro
+    let s = Stats.shard stats in
+    Stats.bump s Stats.validation_steps steps;
+    Stats.record_read_set s ~size:rs_size;
+    Stats.bump s Stats.dedup_hits commits;
+    Stats.bump s Stats.bloom_skips aborts;
+    Stats.bump s Stats.extensions ro
   in
   let plan =
     [
@@ -41,18 +43,19 @@ let test_multi_domain_sums () =
   spawn_hammers stats plan;
   let s = Stats.snapshot stats in
   (* commits = plain commits + ro commits (record_ro_commit bumps both). *)
-  Alcotest.(check int) "commits" (1000 + 26) s.Stats.commits;
-  Alcotest.(check int) "aborts" 10 s.Stats.aborts;
-  Alcotest.(check int) "read_only_commits" 26 s.Stats.read_only_commits;
-  Alcotest.(check int) "ro_zero_log_commits" 26 s.Stats.ro_zero_log_commits;
-  Alcotest.(check int) "validation_steps" 100 s.Stats.validation_steps;
+  Alcotest.(check int) "commits" (1000 + 26) Stats.(get s commits);
+  Alcotest.(check int) "aborts" 10 Stats.(get s aborts);
+  Alcotest.(check int) "read_only_commits" 26 Stats.(get s read_only_commits);
+  Alcotest.(check int) "ro_zero_log_commits" 26
+    Stats.(get s ro_zero_log_commits);
+  Alcotest.(check int) "validation_steps" 100 Stats.(get s validation_steps);
   Alcotest.(check int) "max_read_set is a max, not a sum" 31
-    s.Stats.max_read_set;
+    Stats.(get s max_read_set);
   Alcotest.(check int) "read_set_entries" (7 + 31 + 13 + 2)
-    s.Stats.read_set_entries;
-  Alcotest.(check int) "dedup_hits" 1000 s.Stats.dedup_hits;
-  Alcotest.(check int) "bloom_skips" 10 s.Stats.bloom_skips;
-  Alcotest.(check int) "extensions" 26 s.Stats.extensions
+    Stats.(get s read_set_entries);
+  Alcotest.(check int) "dedup_hits" 1000 Stats.(get s dedup_hits);
+  Alcotest.(check int) "bloom_skips" 10 Stats.(get s bloom_skips);
+  Alcotest.(check int) "extensions" 26 Stats.(get s extensions)
 
 let test_reset () =
   let stats = Stats.create () in
@@ -63,16 +66,16 @@ let test_reset () =
           Stats.record_commit st ~read_only:true
         done);
       (fun st ->
-        Stats.record_abort st;
-        Stats.record_read_set st ~size:9);
+        Stats.incr st Stats.aborts;
+        Stats.record_read_set (Stats.shard st) ~size:9);
     ];
   Alcotest.(check bool) "counts present before reset" true
-    ((Stats.snapshot stats).Stats.commits > 0);
+    (Stats.(get (snapshot stats) commits) > 0);
   Stats.reset stats;
   let s = Stats.snapshot stats in
-  Alcotest.(check int) "commits zeroed" 0 s.Stats.commits;
-  Alcotest.(check int) "aborts zeroed" 0 s.Stats.aborts;
-  Alcotest.(check int) "max_read_set zeroed" 0 s.Stats.max_read_set
+  Alcotest.(check int) "commits zeroed" 0 Stats.(get s commits);
+  Alcotest.(check int) "aborts zeroed" 0 Stats.(get s aborts);
+  Alcotest.(check int) "max_read_set zeroed" 0 Stats.(get s max_read_set)
 
 (* Sequential waves of short-lived domains: exited domains' shards are
    returned to a free pool and recycled, so counts accumulate across
@@ -89,34 +92,38 @@ let test_counts_survive_domain_exit () =
       ]
   done;
   Alcotest.(check int) "8 waves x 25 commits" 200
-    (Stats.snapshot stats).Stats.commits
+    Stats.(get (snapshot stats) commits)
 
-(* Exhaustiveness: one call to every record function must leave every
-   exported counter non-zero, and reset must zero them all. A counter
-   added to the record but forgotten in the shard fold, in [reset] or
-   in [to_assoc] fails here instead of silently exporting 0 (or a
+(* Exhaustiveness: recording every counter once — through the helpers
+   that move several together, or directly — must leave every exported
+   counter non-zero, and reset must zero them all. A declared counter
+   that no record reaches, or that the shard fold, [reset] or
+   [to_assoc] skips, fails here instead of silently exporting 0 (or a
    stale value) forever. *)
 let test_every_counter_recorded_and_reset () =
   let stats = Stats.create () in
   spawn_hammers stats
     [
       (fun st ->
+        let s = Stats.shard st in
         Stats.record_commit st ~read_only:true;
-        Stats.record_abort st;
-        Stats.record_validation st ~steps:3;
-        Stats.record_read_set st ~size:5;
-        Stats.record_tx_log st ~dedup_hits:1 ~bloom_skips:1 ~extensions:1;
-        Stats.record_clock_reuse st;
+        Stats.incr st Stats.aborts;
+        Stats.bump s Stats.validation_steps 3;
+        Stats.record_read_set s ~size:5;
+        Stats.bump s Stats.dedup_hits 1;
+        Stats.bump s Stats.bloom_skips 1;
+        Stats.bump s Stats.extensions 1;
+        Stats.incr st Stats.clock_reuses;
         Stats.record_ro_commit st;
-        Stats.record_ro_revalidation st;
-        Stats.record_ro_demotion st;
-        Stats.record_checkpoints st ~count:2;
+        Stats.incr st Stats.ro_inline_revalidations;
+        Stats.incr st Stats.ro_demotions;
+        Stats.bump s Stats.checkpoints 2;
         Stats.record_partial_abort st ~reads_salvaged:4;
-        Stats.record_resume_failure st;
-        Stats.record_epoch_decision st;
-        Stats.record_substrate_switch st;
-        Stats.record_pool_hit st;
-        Stats.record_pool_miss st);
+        Stats.incr st Stats.resume_failures;
+        Stats.incr st Stats.epoch_decisions;
+        Stats.incr st Stats.substrate_switches;
+        Stats.incr st Stats.descriptor_pool_hits;
+        Stats.incr st Stats.descriptor_pool_misses);
     ];
   let live = Stats.to_assoc (Stats.snapshot stats) in
   Alcotest.(check bool) "at least the 21 known counters" true
