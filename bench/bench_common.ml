@@ -86,6 +86,13 @@ let collected : RR.t list ref = ref []
    per-strategy snapshot to BENCH_quick.json. *)
 let write_json = ref false
 
+(* Run [f] with the global switch [flag] set to [value], restoring the
+   previous setting however [f] exits. *)
+let with_switch flag value f =
+  let saved = !flag in
+  flag := value;
+  Fun.protect ~finally:(fun () -> flag := saved) f
+
 (* Run one benchmark point on a fresh structure. *)
 let run_point (s : settings) (pt : point_config) : RR.t =
   Sb7_stm.Astm.set_policy pt.cm;

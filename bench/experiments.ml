@@ -238,64 +238,121 @@ let t1_astm (s : settings) =
 
 (* --- Quick perf snapshot: the repo's trajectory file --- *)
 
-(* A deterministic, seconds-long point per strategy: fixed seed, one
-   thread, bounded op count, tiny scale. With main's [--json] flag the
-   numbers land in BENCH_quick.json, so successive PRs accumulate a
-   perf trajectory (`BENCH_*.json`) that is cheap enough for CI. *)
+(* BENCH_quick.json as a value; a float carries its decimals. Objects
+   print inline and a list of objects one per line: a row per line. *)
+type json =
+  | Int of int
+  | Fixed of int * float
+  | Str of string
+  | Bool of bool
+  | List of json list
+  | Obj of (string * json) list
+
+let rec json_to_string indent = function
+  | Int i -> string_of_int i
+  | Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Str s -> Printf.sprintf "%S" s
+  | Bool b -> string_of_bool b
+  | Obj fields ->
+    let field (k, v) = Printf.sprintf "%S: %s" k (json_to_string indent v) in
+    "{" ^ String.concat ", " (List.map field fields) ^ "}"
+  | List (Obj _ :: _ as rows) ->
+    let line v = String.make (indent + 2) ' ' ^ json_to_string (indent + 2) v in
+    let rows = String.concat ",\n" (List.map line rows) in
+    Printf.sprintf "[\n%s\n%*s]" rows indent ""
+  | List l -> "[" ^ String.concat ", " (List.map (json_to_string 0) l) ^ "]"
+
+(* A column is a JSON key and how one run renders under it; a row is the
+   labels naming its point, then its run's columns. *)
+let int key f = (key, fun r -> Int (f r))
+let fixed key decimals f = (key, fun r -> Fixed (decimals, f r))
+let counter key = int key (fun r -> RR.counter r key)
+let counters = List.map counter
+let row labels cols r = Obj (labels @ List.map (fun (k, f) -> (k, f r)) cols)
+let ints l = List (List.map (fun n -> Int n) l)
+let ops_per_s = fixed "ops_per_s" 1 RR.throughput
+let commits_aborts = [ counter "commits"; counter "aborts" ]
+let abort_rate = fixed "abort_rate" 4 RR.abort_rate
+let minor_words = fixed "minor_words_per_commit" 1 RR.minor_words_per_commit
+let minor_gc = fixed "minor_gc_per_1k_commits" 3 RR.minor_gc_per_1k_commits
+let major_gc = fixed "major_gc_per_1k_commits" 3 RR.major_gc_per_1k_commits
+let runtime name = [ ("runtime", Str name) ]
+let elapsed_s = fixed "elapsed_s" 3 (fun r -> r.RR.elapsed_s)
+let stm_counters = counters Sb7_stm.Stm_stats.names
+
+(* A runtime's row that nests, under [key], one row per point. *)
+let grouped key points row_of rt =
+  Obj (runtime rt @ [ (key, List (List.map (row_of rt) points)) ])
+
+(* Fixed-seed points at tiny scale, cheap enough for CI; with main's
+   [--json] flag the rows land in BENCH_quick.json. A section prints its
+   title, runs its points in order and prints one row each; its value is
+   the rows under [key] after its [fields], or the bare rows. *)
 let quick (s : settings) =
   print_header
     "Quick perf snapshot — fixed-seed, single-thread, bounded op count \
      (tiny scale, no long traversals)";
-  let max_ops = 400 in
+  let max_ops = 400 and cores = Domain.recommended_domain_count () in
+  let s = { s with scale = Sb7_core.Parameters.tiny; scale_name = "tiny" } in
+  let workload w = ("workload", Str w) and two = ("threads", Int 2) in
+  let timed head duration warmup =
+    let window = ("duration_s", Fixed (2, duration)) in
+    ({ s with duration; warmup }, head @ [ window; ("host_cores", Int cores) ])
+  in
+  let run st ?max_ops ?dispatch ?(long_traversals = false) runtime wl threads =
+    run_point st
+      (point ~runtime ~workload:wl ~threads ~long_traversals ?max_ops
+         ?dispatch ())
+  in
+  let section title ?fields ?(key = "strategies") points row_of =
+    Printf.printf "\n%s\n" title;
+    let rows = List.map row_of points in
+    List.iter (fun r -> print_endline (json_to_string 0 r)) rows;
+    match fields with
+    | None -> List rows
+    | Some fields -> Obj (fields @ [ (key, List rows) ])
+  in
+  let bounded wl threads rt =
+    run s ~max_ops rt wl threads
+    |> row (runtime rt) (ops_per_s :: elapsed_s :: abort_rate :: stm_counters)
+  in
   (* Every registered strategy, in registry order — the sweep (and the
      JSON trajectory) picks up new runtimes automatically. *)
-  let runtimes = Sb7_runtime.Registry.names in
-  let s = { s with scale = Sb7_core.Parameters.tiny; scale_name = "tiny" } in
-  let results =
-    List.map
-      (fun runtime ->
-        let r =
-          run_point s
-            (point ~runtime ~workload:W.Read_write ~threads:1
-               ~long_traversals:false ~max_ops ())
-        in
-        (runtime, r))
-      runtimes
+  let strategies =
+    section "read-write, 1 thread, 400 ops, every registered strategy:"
+      Sb7_runtime.Registry.names (bounded W.Read_write 1)
   in
   (* Read-dominated, 2 threads, STM runtimes with a read-only fast
      path: the configuration the zero-log/snapshot modes target (and
      the CI guard that [ro_zero_log_commits] stays > 0 for tl2). *)
-  let ro_results =
-    List.map
-      (fun runtime ->
-        let r =
-          run_point s
-            (point ~runtime ~workload:W.Read_dominated ~threads:2
-               ~long_traversals:false ~max_ops ())
-        in
-        (runtime, r))
-      [ "tl2"; "lsa" ]
+  let ro_read_dominated =
+    section
+      "read-dominated, 2 threads (read-only fast paths; see docs/PERF.md):"
+      ~fields:[ workload "r"; two ]
+      [ "tl2"; "lsa" ] (bounded W.Read_dominated 2)
   in
-  (* 1/2/4/8-domain series on the read-dominated workload — the
-     paper's evaluation axis (§5). Duration-based points (not op
-     budgets) so throughput is comparable across domain counts; short
-     windows keep CI cost bounded. *)
-  let scaling_threads = [ 1; 2; 4; 8 ] in
-  let scaling_settings = { s with duration = 0.4; warmup = 0.1 } in
-  let scaling_results =
-    List.map
-      (fun runtime ->
-        ( runtime,
-          List.map
-            (fun threads ->
-              let r =
-                run_point scaling_settings
-                  (point ~runtime ~workload:W.Read_dominated ~threads
-                     ~long_traversals:false ())
-              in
-              (threads, r))
-            scaling_threads ))
+  (* 1/2/4/8-domain series on the read-dominated workload — the paper's
+     evaluation axis (§5). Duration-based points (not op budgets) so
+     throughput is comparable across domain counts; short windows keep
+     CI cost bounded. *)
+  let scaling =
+    let st, fields = timed [ workload "r" ] 0.4 0.1 in
+    let threads = [ 1; 2; 4; 8 ] in
+    let per_domain r = ints (Array.to_list r.RR.per_domain_successes) in
+    let imbalance = fixed "commit_imbalance" 3 RR.commit_imbalance in
+    let cols =
+      ops_per_s :: commits_aborts
+      @ [ imbalance; ("per_domain_commits", per_domain) ]
+    in
+    section
+      (Printf.sprintf
+         "domain scaling, read-dominated (%.1fs per point, %d host cores; \
+          imbalance = max per-domain commits / mean):"
+         st.duration cores)
+      ~fields:(fields @ [ ("threads", ints threads) ])
       [ "tl2"; "lsa" ]
+      (grouped "series" threads (fun rt t ->
+           run st rt W.Read_dominated t |> row [ ("threads", Int t) ] cols))
   in
   (* Long traversals + writers at 2 domains — the configuration the
      checkpoint/partial-abort machinery targets (docs/PERF.md §7). One
@@ -303,418 +360,100 @@ let quick (s : settings) =
      [Stm_intf.partial_abort_enabled] off, so "full abort" is the very
      same code minus checkpoint salvage. Write-dominated keeps enough
      concurrent committers to force mid-traversal conflicts. *)
-  let lt_settings = { s with duration = 0.6; warmup = 0.1 } in
-  let lt_variants =
-    [ ("tl2", false); ("tl2", true); ("lsa", false); ("lsa", true) ]
-  in
-  let lt_results =
-    List.map
-      (fun (runtime, checkpointed) ->
-        Sb7_stm.Stm_intf.partial_abort_enabled := checkpointed;
-        let r =
-          run_point lt_settings
-            (point ~runtime ~workload:W.Write_dominated ~threads:2 ())
-        in
-        Sb7_stm.Stm_intf.partial_abort_enabled := true;
-        ((runtime, checkpointed), r))
-      lt_variants
+  let long_traversals =
+    let st, fields = timed [ workload "w"; two ] 0.6 0.1 in
+    let salvage =
+      [ "checkpoints"; "partial_aborts"; "reads_salvaged"; "resume_failures" ]
+    in
+    let gc = [ minor_gc; major_gc; minor_words ] in
+    let cols = ops_per_s :: commits_aborts @ counters salvage @ gc in
+    section
+      "long traversals + writers, 2 domains, full abort vs checkpointed \
+       partial abort:"
+      ~fields ~key:"variants"
+      [ ("tl2", false); ("tl2", true); ("lsa", false); ("lsa", true) ]
+      (fun (rt, checkpointed) ->
+        let mode = if checkpointed then "checkpoint" else "full-abort" in
+        with_switch Sb7_stm.Stm_intf.partial_abort_enabled checkpointed
+          (fun () -> run st ~long_traversals:true rt W.Write_dominated 2)
+        |> row (runtime rt @ [ ("mode", Str mode) ]) cols)
   in
   (* Phase change: read-dominated then write-dominated at 2 domains —
      the configuration the adaptive tournament targets (docs/PERF.md
-     §8). Per-phase totals are summed per runtime; substrate_switches
-     comes from the runtime counters captured at the end of each phase
-     (Benchmark.run resets runtime stats per run, so the two phases
-     are summed here, not double-counted). *)
-  let phase_settings = { s with duration = 0.4; warmup = 0.1 } in
-  let phase_workloads = [ W.Read_dominated; W.Write_dominated ] in
-  let phase_results =
-    List.map
-      (fun runtime ->
-        ( runtime,
-          List.map
-            (fun workload ->
-              let r =
-                run_point phase_settings
-                  (point ~runtime ~workload ~threads:2
-                     ~long_traversals:false ())
-              in
-              (workload, r))
-            phase_workloads ))
-      [ "tournament"; "tl2"; "norec"; "etl" ]
-  in
-  (* Committed ops per second across both phases (op counts summed,
-     windows summed), plus the adaptive counters. *)
-  let phase_totals series =
-    let ops, elapsed, switches, decisions =
-      List.fold_left
-        (fun (ops, el, sw, dec) ((_ : W.kind), r) ->
-          ( ops +. (RR.throughput r *. r.RR.elapsed_s),
-            el +. r.RR.elapsed_s,
-            sw + RR.counter r "substrate_switches",
-            dec + RR.counter r "epoch_decisions" ))
-        (0., 0., 0, 0) series
+     §8). A row's run is the pair of phases: ops_per_s is committed ops
+     over both windows, and the adaptive counters are summed, since
+     Benchmark.run resets runtime stats per run. *)
+  let phase_mix =
+    let phases = ("phases", List [ Str "r"; Str "w" ]) in
+    let st, fields = timed [ phases; two ] 0.4 0.1 in
+    let sum f (read, write) = f read +. f write in
+    let count k = int k (fun (r, w) -> RR.counter r k + RR.counter w k) in
+    let window = sum (fun r -> r.RR.elapsed_s) in
+    let ops p = sum (fun r -> RR.throughput r *. r.RR.elapsed_s) p in
+    let cols =
+      [ fixed "ops_per_s" 1 (fun p ->
+            if window p > 0. then ops p /. window p else 0.);
+        fixed "read_ops_per_s" 1 (fun (read, _) -> RR.throughput read);
+        fixed "write_ops_per_s" 1 (fun (_, write) -> RR.throughput write);
+        count "substrate_switches"; count "epoch_decisions" ]
     in
-    ((if elapsed > 0. then ops /. elapsed else 0.), switches, decisions)
+    section
+      "phase change, 2 domains: read-dominated then write-dominated \
+       (adaptive tournament vs static substrates; ops/s over both phases):"
+      ~fields [ "tournament"; "tl2"; "norec"; "etl" ]
+      (fun rt ->
+        let read = run st rt W.Read_dominated 2 in
+        row (runtime rt) cols (read, run st rt W.Write_dominated 2))
   in
   (* Allocation probe: every STM substrate twice back-to-back at 2
-     domains. The first run's worker domains donate their descriptors
-     to the substrate pool on exit, so the second (reported) run's
-     workers adopt them and [descriptor_pool_hits] is deterministically
-     positive — the CI allocation gate keys on this, and on
-     minor-words-per-commit staying put (docs/PERF.md §9). *)
-  let alloc_settings = { s with duration = 0.3; warmup = 0. } in
-  let alloc_runtimes = [ "tl2"; "lsa"; "norec"; "etl" ] in
-  let alloc_results =
-    List.map
-      (fun runtime ->
-        let pt =
-          point ~runtime ~workload:W.Read_write ~threads:2
-            ~long_traversals:false ()
-        in
-        ignore (run_point alloc_settings pt);
-        (runtime, run_point alloc_settings pt))
-      alloc_runtimes
+     domains. The first run's worker domains donate their descriptors to
+     the substrate pool on exit, so the second (reported) run's workers
+     adopt them and [descriptor_pool_hits] is deterministically positive
+     — the CI allocation gate keys on this, and on minor-words-per-commit
+     staying put (docs/PERF.md §9). *)
+  let alloc =
+    let st, fields = timed [ workload "rw"; two ] 0.3 0. in
+    let pool = counters [ "descriptor_pool_hits"; "descriptor_pool_misses" ] in
+    let cols = ops_per_s :: commits_aborts @ minor_words :: minor_gc :: pool in
+    section
+      "allocation probe, read-write, 2 domains, second of two back-to-back \
+       runs (pool hits = domains that adopted a recycled descriptor):"
+      ~fields [ "tl2"; "lsa"; "norec"; "etl" ]
+      (fun rt ->
+        ignore (run st rt W.Read_write 2);
+        run st rt W.Read_write 2 |> row (runtime rt) cols)
   in
   (* Uniform vs conflict-aware dispatch on the write-dominated mix at 2
      domains — the configuration the static conflict matrix targets
      (docs/FOOTPRINT.md). Duration-based so abort pressure is real. *)
-  let dispatch_modes = [ D.Uniform; D.Conflict_aware ] in
-  let dispatch_settings = { s with duration = 0.4; warmup = 0.1 } in
-  let dispatch_results =
-    List.map
-      (fun runtime ->
-        ( runtime,
-          List.map
-            (fun dispatch ->
-              let r =
-                run_point dispatch_settings
-                  (point ~runtime ~workload:W.Write_dominated ~threads:2
-                     ~long_traversals:false ~dispatch ())
-              in
-              (dispatch, r))
-            dispatch_modes ))
-      [ "tl2"; "lsa" ]
+  let dispatch =
+    let st, fields = timed [ workload "w"; two ] 0.4 0.1 in
+    let pairs = int "conflict_pairs" (fun r -> r.RR.conflict_pairs) in
+    let cols = pairs :: ops_per_s :: commits_aborts @ [ abort_rate ] in
+    section
+      "write-dominated, 2 domains, uniform vs conflict-aware dispatch \
+       (conflict pairs = statically conflicting op pairs runnable \
+       concurrently):"
+      ~fields [ "tl2"; "lsa" ]
+      (grouped "modes" [ D.Uniform; D.Conflict_aware ] (fun rt mode ->
+           run st ~dispatch:mode rt W.Write_dominated 2
+           |> row [ ("dispatch", Str (D.mode_to_string mode)) ] cols))
   in
-  Printf.printf "%-8s %12s %10s %8s %12s %12s %12s %12s %12s\n" "runtime"
-    "ops/s" "commits" "aborts" "valid.steps" "rs.entries" "dedup.hits"
-    "bloom.skips" "clk.reuses";
-  List.iter
-    (fun (runtime, r) ->
-      let c k = RR.counter r k in
-      Printf.printf "%-8s %12.1f %10d %8d %12d %12d %12d %12d %12d\n" runtime
-        (RR.throughput r) (c "commits") (c "aborts") (c "validation_steps")
-        (c "read_set_entries") (c "dedup_hits") (c "bloom_skips")
-        (c "clock_reuses"))
-    results;
-  Printf.printf
-    "\nread-dominated, 2 threads (read-only fast paths; see docs/PERF.md):\n";
-  Printf.printf "%-8s %12s %10s %8s %12s %12s %12s %12s\n" "runtime" "ops/s"
-    "commits" "aborts" "ro.zerolog" "ro.revals" "ro.demoted" "max.rs";
-  List.iter
-    (fun (runtime, r) ->
-      let c k = RR.counter r k in
-      Printf.printf "%-8s %12.1f %10d %8d %12d %12d %12d %12d\n" runtime
-        (RR.throughput r) (c "commits") (c "aborts")
-        (c "ro_zero_log_commits")
-        (c "ro_inline_revalidations")
-        (c "ro_demotions") (c "max_read_set"))
-    ro_results;
-  Printf.printf
-    "\nwrite-dominated, 2 domains, uniform vs conflict-aware dispatch \
-     (conflict pairs = statically conflicting op pairs runnable \
-     concurrently):\n";
-  Printf.printf "%-8s %-15s %15s %12s %10s %8s %12s\n" "runtime" "dispatch"
-    "conflict.pairs" "ops/s" "commits" "aborts" "abort.rate";
-  List.iter
-    (fun (runtime, series) ->
-      List.iter
-        (fun (dispatch, r) ->
-          let commits = RR.counter r "commits"
-          and aborts = RR.counter r "aborts" in
-          let abort_rate =
-            if commits + aborts = 0 then 0.
-            else float_of_int aborts /. float_of_int (commits + aborts)
-          in
-          Printf.printf "%-8s %-15s %15d %12.1f %10d %8d %12.4f\n" runtime
-            (D.mode_to_string dispatch)
-            r.RR.conflict_pairs (RR.throughput r) commits aborts abort_rate)
-        series)
-    dispatch_results;
-  Printf.printf
-    "\nallocation probe, read-write, 2 domains, second of two \
-     back-to-back runs (pool hits = domains that adopted a recycled \
-     descriptor):\n";
-  Printf.printf "%-8s %12s %10s %8s %12s %10s %10s %12s\n" "runtime" "ops/s"
-    "commits" "aborts" "words/commit" "mgc/1k" "pool.hits" "pool.misses";
-  List.iter
-    (fun (runtime, r) ->
-      let c k = RR.counter r k in
-      Printf.printf "%-8s %12.1f %10d %8d %12.1f %10.2f %10d %12d\n" runtime
-        (RR.throughput r) (c "commits") (c "aborts")
-        (RR.minor_words_per_commit r)
-        (RR.minor_gc_per_1k_commits r)
-        (c "descriptor_pool_hits")
-        (c "descriptor_pool_misses"))
-    alloc_results;
-  Printf.printf
-    "\nlong traversals + writers, 2 domains, full abort vs checkpointed \
-     partial abort (mgc/Mgc = minor/major GC per 1k commits):\n";
-  Printf.printf "%-8s %-12s %10s %8s %8s %10s %10s %12s %9s %8s %8s\n"
-    "runtime" "mode" "ops/s" "commits" "aborts" "chkpoints" "part.abrt"
-    "rd.salvaged" "res.fail" "mgc/1k" "Mgc/1k";
-  List.iter
-    (fun ((runtime, checkpointed), r) ->
-      let c k = RR.counter r k in
-      Printf.printf
-        "%-8s %-12s %10.1f %8d %8d %10d %10d %12d %9d %8.2f %8.2f\n" runtime
-        (if checkpointed then "checkpoint" else "full-abort")
-        (RR.throughput r) (c "commits") (c "aborts") (c "checkpoints")
-        (c "partial_aborts") (c "reads_salvaged") (c "resume_failures")
-        (RR.minor_gc_per_1k_commits r)
-        (RR.major_gc_per_1k_commits r))
-    lt_results;
-  Printf.printf
-    "\nphase change, 2 domains: read-dominated then write-dominated \
-     (adaptive tournament vs static substrates; ops/s over both \
-     phases):\n";
-  Printf.printf "%-12s %12s %12s %12s %10s %10s\n" "runtime" "ops/s"
-    "read.ops/s" "write.ops/s" "switches" "epochs";
-  List.iter
-    (fun (runtime, series) ->
-      let total, switches, decisions = phase_totals series in
-      let per_phase w =
-        match List.assoc_opt w series with
-        | Some r -> RR.throughput r
-        | None -> 0.
-      in
-      Printf.printf "%-12s %12.1f %12.1f %12.1f %10d %10d\n" runtime total
-        (per_phase W.Read_dominated)
-        (per_phase W.Write_dominated)
-        switches decisions)
-    phase_results;
-  Printf.printf
-    "\ndomain scaling, read-dominated (%.1fs per point, %d host cores; \
-     imbalance = max per-domain commits / mean):\n"
-    scaling_settings.duration
-    (Domain.recommended_domain_count ());
-  Printf.printf "%-8s %8s %12s %10s %8s %10s %s\n" "runtime" "domains"
-    "ops/s" "commits" "aborts" "imbalance" "per-domain commits";
-  List.iter
-    (fun (runtime, series) ->
-      List.iter
-        (fun (threads, r) ->
-          Printf.printf "%-8s %8d %12.1f %10d %8d %10.2f [%s]\n" runtime
-            threads (RR.throughput r) (RR.counter r "commits")
-            (RR.counter r "aborts")
-            (RR.commit_imbalance r)
-            (String.concat "; "
-               (Array.to_list
-                  (Array.map string_of_int r.RR.per_domain_successes))))
-        series)
-    scaling_results;
-  if !Bench_common.write_json then begin
+  if !write_json then begin
     let path = "BENCH_quick.json" in
-    let oc = open_out path in
-    let b = Buffer.create 2048 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"sb7-bench-quick/7\",\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"scale\": %S,\n  \"workload\": %S,\n  \"threads\": 1,\n\
-         \  \"max_ops\": %d,\n  \"seed\": %d,\n  \"long_traversals\": false,\n\
-         \  \"minor_heap_words\": %d,\n"
-         s.scale_name
-         (W.kind_to_string W.Read_write)
-         max_ops s.seed
-         (Option.value s.minor_heap
-            ~default:(Gc.get ()).Gc.minor_heap_size));
-    Buffer.add_string b "  \"strategies\": [\n";
-    List.iteri
-      (fun i (runtime, r) ->
-        let c k = RR.counter r k in
-        let abort_rate =
-          let commits = c "commits" and aborts = c "aborts" in
-          if commits + aborts = 0 then 0.
-          else float_of_int aborts /. float_of_int (commits + aborts)
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"runtime\": %S, \"ops_per_s\": %.1f, \"elapsed_s\": \
-              %.3f, \"abort_rate\": %.4f%s}%s\n"
-             runtime (RR.throughput r) r.RR.elapsed_s abort_rate
-             (String.concat ""
-                (List.map
-                   (fun k -> Printf.sprintf ", %S: %d" k (c k))
-                   Sb7_stm.Stm_stats.names))
-             (if i = List.length results - 1 then "" else ",")))
-      results;
-    Buffer.add_string b "  ],\n";
-    Buffer.add_string b
-      "  \"ro_read_dominated\": {\"workload\": \"r\", \"threads\": 2, \
-       \"strategies\": [\n";
-    List.iteri
-      (fun i (runtime, r) ->
-        let c k = RR.counter r k in
-        let abort_rate =
-          let commits = c "commits" and aborts = c "aborts" in
-          if commits + aborts = 0 then 0.
-          else float_of_int aborts /. float_of_int (commits + aborts)
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"runtime\": %S, \"ops_per_s\": %.1f, \"elapsed_s\": \
-              %.3f, \"abort_rate\": %.4f%s}%s\n"
-             runtime (RR.throughput r) r.RR.elapsed_s abort_rate
-             (String.concat ""
-                (List.map
-                   (fun k -> Printf.sprintf ", %S: %d" k (c k))
-                   Sb7_stm.Stm_stats.names))
-             (if i = List.length ro_results - 1 then "" else ",")))
-      ro_results;
-    Buffer.add_string b "  ]},\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"dispatch\": {\"workload\": \"w\", \"threads\": 2, \
-          \"duration_s\": %.2f, \"host_cores\": %d, \"strategies\": [\n"
-         dispatch_settings.duration
-         (Domain.recommended_domain_count ()));
-    List.iteri
-      (fun i (runtime, series) ->
-        Buffer.add_string b
-          (Printf.sprintf "    {\"runtime\": %S, \"modes\": [\n" runtime);
-        List.iteri
-          (fun j (dispatch, r) ->
-            let commits = RR.counter r "commits"
-            and aborts = RR.counter r "aborts" in
-            let abort_rate =
-              if commits + aborts = 0 then 0.
-              else float_of_int aborts /. float_of_int (commits + aborts)
-            in
-            Buffer.add_string b
-              (Printf.sprintf
-                 "      {\"dispatch\": %S, \"conflict_pairs\": %d, \
-                  \"ops_per_s\": %.1f, \"commits\": %d, \"aborts\": %d, \
-                  \"abort_rate\": %.4f}%s\n"
-                 (D.mode_to_string dispatch)
-                 r.RR.conflict_pairs (RR.throughput r) commits aborts
-                 abort_rate
-                 (if j = List.length series - 1 then "" else ",")))
-          series;
-        Buffer.add_string b
-          (Printf.sprintf "    ]}%s\n"
-             (if i = List.length dispatch_results - 1 then "" else ",")))
-      dispatch_results;
-    Buffer.add_string b "  ]},\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"alloc\": {\"workload\": \"rw\", \"threads\": 2, \
-          \"duration_s\": %.2f, \"host_cores\": %d, \"strategies\": [\n"
-         alloc_settings.duration
-         (Domain.recommended_domain_count ()));
-    List.iteri
-      (fun i (runtime, r) ->
-        let c k = RR.counter r k in
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"runtime\": %S, \"ops_per_s\": %.1f, \"commits\": %d, \
-              \"aborts\": %d, \"minor_words_per_commit\": %.1f, \
-              \"minor_gc_per_1k_commits\": %.3f, \"descriptor_pool_hits\": \
-              %d, \"descriptor_pool_misses\": %d}%s\n"
-             runtime (RR.throughput r) (c "commits") (c "aborts")
-             (RR.minor_words_per_commit r)
-             (RR.minor_gc_per_1k_commits r)
-             (c "descriptor_pool_hits")
-             (c "descriptor_pool_misses")
-             (if i = List.length alloc_results - 1 then "" else ",")))
-      alloc_results;
-    Buffer.add_string b "  ]},\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"scaling\": {\"workload\": \"r\", \"duration_s\": %.2f, \
-          \"host_cores\": %d, \"threads\": [%s], \"strategies\": [\n"
-         scaling_settings.duration
-         (Domain.recommended_domain_count ())
-         (String.concat ", " (List.map string_of_int scaling_threads)));
-    List.iteri
-      (fun i (runtime, series) ->
-        Buffer.add_string b
-          (Printf.sprintf "    {\"runtime\": %S, \"series\": [\n" runtime);
-        List.iteri
-          (fun j (threads, r) ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "      {\"threads\": %d, \"ops_per_s\": %.1f, \"commits\": \
-                  %d, \"aborts\": %d, \"commit_imbalance\": %.3f, \
-                  \"per_domain_commits\": [%s]}%s\n"
-                 threads (RR.throughput r)
-                 (RR.counter r "commits")
-                 (RR.counter r "aborts")
-                 (RR.commit_imbalance r)
-                 (String.concat ", "
-                    (Array.to_list
-                       (Array.map string_of_int r.RR.per_domain_successes)))
-                 (if j = List.length series - 1 then "" else ",")))
-          series;
-        Buffer.add_string b
-          (Printf.sprintf "    ]}%s\n"
-             (if i = List.length scaling_results - 1 then "" else ",")))
-      scaling_results;
-    Buffer.add_string b "  ]},\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"long_traversals\": {\"workload\": \"w\", \"threads\": 2, \
-          \"duration_s\": %.2f, \"host_cores\": %d, \"variants\": [\n"
-         lt_settings.duration
-         (Domain.recommended_domain_count ()));
-    List.iteri
-      (fun i ((runtime, checkpointed), r) ->
-        let c k = RR.counter r k in
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"runtime\": %S, \"mode\": %S, \"ops_per_s\": %.1f, \
-              \"commits\": %d, \"aborts\": %d, \"checkpoints\": %d, \
-              \"partial_aborts\": %d, \"reads_salvaged\": %d, \
-              \"resume_failures\": %d, \"minor_gc_per_1k_commits\": %.3f, \
-              \"major_gc_per_1k_commits\": %.3f, \
-              \"minor_words_per_commit\": %.1f}%s\n"
-             runtime
-             (if checkpointed then "checkpoint" else "full-abort")
-             (RR.throughput r) (c "commits") (c "aborts") (c "checkpoints")
-             (c "partial_aborts") (c "reads_salvaged") (c "resume_failures")
-             (RR.minor_gc_per_1k_commits r)
-             (RR.major_gc_per_1k_commits r)
-             (RR.minor_words_per_commit r)
-             (if i = List.length lt_results - 1 then "" else ",")))
-      lt_results;
-    Buffer.add_string b "  ]},\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"phase_mix\": {\"phases\": [\"r\", \"w\"], \"threads\": 2, \
-          \"duration_s\": %.2f, \"host_cores\": %d, \"strategies\": [\n"
-         phase_settings.duration
-         (Domain.recommended_domain_count ()));
-    List.iteri
-      (fun i (runtime, series) ->
-        let total, switches, decisions = phase_totals series in
-        let per_phase w =
-          match List.assoc_opt w series with
-          | Some r -> RR.throughput r
-          | None -> 0.
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"runtime\": %S, \"ops_per_s\": %.1f, \
-              \"read_ops_per_s\": %.1f, \"write_ops_per_s\": %.1f, \
-              \"substrate_switches\": %d, \"epoch_decisions\": %d}%s\n"
-             runtime total
-             (per_phase W.Read_dominated)
-             (per_phase W.Write_dominated)
-             switches decisions
-             (if i = List.length phase_results - 1 then "" else ",")))
-      phase_results;
-    Buffer.add_string b "  ]}\n}\n";
-    Buffer.output_buffer oc b;
-    close_out oc;
+    let heap = Option.value s.minor_heap ~default:(Gc.get ()).minor_heap_size in
+    let doc =
+      [ ("schema", Str "sb7-bench-quick/7"); ("scale", Str s.scale_name);
+        workload (W.kind_to_string W.Read_write); ("threads", Int 1);
+        ("max_ops", Int max_ops); ("seed", Int s.seed);
+        ("long_traversals", Bool false); ("minor_heap_words", Int heap);
+        ("strategies", strategies); ("ro_read_dominated", ro_read_dominated);
+        ("dispatch", dispatch); ("alloc", alloc); ("scaling", scaling);
+        ("long_traversals", long_traversals); ("phase_mix", phase_mix) ]
+    in
+    let field (k, v) = Printf.sprintf "  %S: %s" k (json_to_string 2 v) in
+    let text = "{\n" ^ String.concat ",\n" (List.map field doc) ^ "\n}\n" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
     Printf.printf "\nwrote %s\n" path
   end
 
@@ -944,13 +683,13 @@ let alloc (s : settings) =
             (fun threads ->
               List.iter
                 (fun pooling ->
-                  Sb7_stm.Stm_intf.descriptor_pooling_enabled := pooling;
                   let r =
-                    run_point s
-                      (point ~runtime ~workload ~threads
-                         ~long_traversals:false ())
+                    with_switch Sb7_stm.Stm_intf.descriptor_pooling_enabled
+                      pooling (fun () ->
+                        run_point s
+                          (point ~runtime ~workload ~threads
+                             ~long_traversals:false ()))
                   in
-                  Sb7_stm.Stm_intf.descriptor_pooling_enabled := true;
                   let c k = RR.counter r k in
                   Printf.printf
                     "%-8s %-10s %8d %-8s %12.1f %13.1f %8.2f %10d %10d\n"

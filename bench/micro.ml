@@ -285,12 +285,11 @@ let alloc_tests =
   let module T = Sb7_stm.Tl2 in
   let tv = T.make 0 in
   let acquire pooled () =
-    Sb7_stm.Stm_intf.descriptor_pooling_enabled := pooled;
-    let d =
-      Domain.spawn (fun () -> T.atomic (fun () -> T.write tv (T.read tv + 1)))
-    in
-    Domain.join d;
-    Sb7_stm.Stm_intf.descriptor_pooling_enabled := true
+    Bench_common.with_switch Sb7_stm.Stm_intf.descriptor_pooling_enabled
+      pooled (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               T.atomic (fun () -> T.write tv (T.read tv + 1)))))
   in
   let n = 256 in
   let module Boxed = struct

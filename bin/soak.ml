@@ -12,9 +12,12 @@ let () =
   let ops_per_thread = arg 2 500 in
   let threads = arg 3 4 in
   Format.printf
-    "Soak: %d rounds x (6 strategies x 3 workloads), %d threads x %d ops \
+    "Soak: %d rounds x (%d strategies x %d workloads), %d threads x %d ops \
      per cycle@."
-    rounds threads ops_per_thread;
+    rounds
+    (List.length Sb7_harness.Soak.concurrent_strategies)
+    (List.length Sb7_harness.Workload.all_kinds)
+    threads ops_per_thread;
   let all_clean = ref true in
   for round = 1 to rounds do
     Format.printf "@.round %d:@." round;

@@ -48,6 +48,13 @@ type t = {
 let counter t name =
   Option.value (List.assoc_opt name t.runtime_counters) ~default:0
 
+(** Aborted attempts over all attempts, [aborts / (commits + aborts)]
+    from the runtime counters; 0 when the run recorded neither. *)
+let abort_rate t =
+  let commits = counter t "commits" and aborts = counter t "aborts" in
+  if commits + aborts = 0 then 0.
+  else float_of_int aborts /. float_of_int (commits + aborts)
+
 (* Tournament champion-occupancy breakdown: the meta-runtime exports
    one ["champion_epochs_<substrate>"] counter per substrate; strip
    the prefix and keep declaration order. Empty for every

@@ -50,12 +50,15 @@ module Cycle (R : Sb7_runtime.Runtime_intf.S) = struct
     }
 end
 
+(** Every concurrent strategy in the registry: all but [seq]. *)
+let concurrent_strategies =
+  List.filter (fun name -> name <> "seq") Sb7_runtime.Registry.names
+
 (** Run one cycle per (strategy, workload) pair; strategies defaults to
-    every concurrent strategy in the registry. *)
-let run ?(strategies = [ "coarse"; "medium"; "fine"; "tl2"; "lsa"; "astm" ])
-    ?(threads = 4) ?(ops_per_thread = 500)
-    ?(scale = Sb7_core.Parameters.tiny) ?(seed = 42) ?(progress = fun _ -> ())
-    () : report =
+    {!concurrent_strategies}. *)
+let run ?(strategies = concurrent_strategies) ?(threads = 4)
+    ?(ops_per_thread = 500) ?(scale = Sb7_core.Parameters.tiny) ?(seed = 42)
+    ?(progress = fun _ -> ()) () : report =
   let cycles =
     List.concat_map
       (fun runtime_name ->
@@ -82,7 +85,7 @@ let run ?(strategies = [ "coarse"; "medium"; "fine"; "tl2"; "lsa"; "astm" ])
   }
 
 let pp_cycle ppf c =
-  Format.fprintf ppf "%-8s %-16s t=%d  ok=%-7d failed=%-7d %s" c.runtime_name
+  Format.fprintf ppf "%-10s %-16s t=%d  ok=%-7d failed=%-7d %s" c.runtime_name
     (Workload.kind_long_name c.workload)
     c.threads c.successes c.failures
     (match c.violations with

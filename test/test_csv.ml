@@ -59,7 +59,7 @@ let test_mean_latency () =
 
 (* --- CSV --- *)
 
-let result =
+let run_tiny runtime_name =
   lazy
     (let config =
        {
@@ -72,19 +72,35 @@ let result =
          seed = 4;
        }
      in
-     match Sb7_harness.Driver.run ~runtime_name:"coarse" config with
+     match Sb7_harness.Driver.run ~runtime_name config with
      | Ok r -> r
      | Error e -> failwith e)
+
+let result = run_tiny "coarse"
+
+(* The tournament's row is the one whose champion_occupancy cell is
+   built from a list rather than being "-". *)
+let tournament = run_tiny "tournament"
 
 let fields line = String.split_on_char ',' line
 
 let test_summary_row_fields () =
-  let r = Lazy.force result in
-  let row = Csv.summary_row r in
-  let fs = fields row in
-  Alcotest.(check int) "field count matches header"
-    (List.length (fields Csv.header_summary))
-    (List.length fs);
+  let header = fields Csv.header_summary in
+  let row r = fields (Csv.summary_row (Lazy.force r)) in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check int)
+        (name ^ ": field count matches header")
+        (List.length header)
+        (List.length (row r)))
+    [ ("coarse", result); ("tournament", tournament) ];
+  let occupancy =
+    List.assoc "champion_occupancy" (List.combine header (row tournament))
+  in
+  Alcotest.(check bool)
+    ("tournament champion_occupancy is filled: " ^ occupancy)
+    true (occupancy <> "-");
+  let fs = row result in
   Alcotest.(check string) "runtime" "coarse" (List.nth fs 0);
   Alcotest.(check string) "workload" "rw" (List.nth fs 1);
   Alcotest.(check string) "threads" "2" (List.nth fs 2);

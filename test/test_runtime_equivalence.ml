@@ -252,23 +252,25 @@ module Checkpoint_probe (R : Sb7_runtime.Runtime_intf.S) = struct
     in
     Sb7_stm.Stm_intf.partial_abort_enabled := checkpointed;
     let total =
-      R.atomic ~profile:(profile "cp-scanner") (fun () ->
-          let skip, saved = R.resume () in
-          let sum = ref saved in
-          for i = skip to n - 1 do
-            sum := !sum + R.read tvars.(i);
-            R.checkpoint ~acc:!sum;
-            if i = conflict_at && not !fired then begin
-              fired := true;
-              Atomic.set trigger true;
-              while not (Atomic.get done_) do
-                Domain.cpu_relax ()
-              done
-            end
-          done;
-          !sum)
+      Fun.protect
+        ~finally:(fun () -> Sb7_stm.Stm_intf.partial_abort_enabled := true)
+        (fun () ->
+          R.atomic ~profile:(profile "cp-scanner") (fun () ->
+              let skip, saved = R.resume () in
+              let sum = ref saved in
+              for i = skip to n - 1 do
+                sum := !sum + R.read tvars.(i);
+                R.checkpoint ~acc:!sum;
+                if i = conflict_at && not !fired then begin
+                  fired := true;
+                  Atomic.set trigger true;
+                  while not (Atomic.get done_) do
+                    Domain.cpu_relax ()
+                  done
+                end
+              done;
+              !sum))
     in
-    Sb7_stm.Stm_intf.partial_abort_enabled := true;
     Domain.join helper;
     let expected = ref 0 in
     for i = 0 to n - 1 do

@@ -486,11 +486,6 @@ let sanitized_run ?(config = run_config) runtime_name =
     | None -> Alcotest.fail "sanitized run produced no verdict"
     | Some v -> v)
 
-let test_honest_run_clean () =
-  let v = sanitized_run "tl2" in
-  Alcotest.(check bool) "attempts recorded" true (v.Checker.attempts > 0);
-  check_clean "honest tl2" v
-
 (* Detection needs a real racy interleaving, so retry a few times with
    doubled duration before declaring the sanitizer toothless. *)
 let detect ~arm ~disarm ~category runtime_name =
@@ -515,9 +510,10 @@ let detect ~arm ~disarm ~category runtime_name =
       go 1 0.2)
 
 (* Property: for every registered runtime, a sanitized quick workload
-   at two domains replays through the static footprint table with zero
-   contradictions — the dynamic trace validates the whole-program
-   inference (docs/FOOTPRINT.md). *)
+   at two domains records attempts, comes back clean, and replays
+   through the static footprint table with zero contradictions — the
+   dynamic trace validates the whole-program inference
+   (docs/FOOTPRINT.md). *)
 let test_footprint_replay_all_runtimes () =
   let region_name code =
     match Sb7_runtime.Region.of_int code with
@@ -530,7 +526,12 @@ let test_footprint_replay_all_runtimes () =
         if String.equal name "seq" then { run_config with B.threads = 1 }
         else run_config
       in
-      let (_ : Checker.verdict) = sanitized_run ~config name in
+      let verdict = sanitized_run ~config name in
+      Alcotest.(check bool)
+        (name ^ ": attempts recorded")
+        true
+        (verdict.Checker.attempts > 0);
+      check_clean ("honest " ^ name) verdict;
       let v =
         Checker.footprint ~table:Sb7_core.Op_footprint.masks ~region_name
           (Trace.dump ())
@@ -634,8 +635,6 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "honest sanitized run clean" `Quick
-            test_honest_run_clean;
           Alcotest.test_case "footprint replay: all runtimes" `Quick
             test_footprint_replay_all_runtimes;
           Alcotest.test_case "seeded: tl2 without validation" `Quick

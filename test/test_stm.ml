@@ -708,9 +708,10 @@ let test_pool_recycling (module S : STM) () =
     (get s2 descriptor_pool_hits >= get s1 descriptor_pool_hits + 2);
   (* Toggle off: a third wave allocates fresh and donates nothing. *)
   Sb7_stm.Stm_intf.descriptor_pooling_enabled := false;
-  let ds = List.init 2 (fun _ -> Domain.spawn (incr_n 10)) in
-  List.iter Domain.join ds;
-  Sb7_stm.Stm_intf.descriptor_pooling_enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Sb7_stm.Stm_intf.descriptor_pooling_enabled := true)
+    (fun () ->
+      List.iter Domain.join (List.init 2 (fun _ -> Domain.spawn (incr_n 10))));
   let s3 = S.stats () in
   Alcotest.(check int) "toggle off: no new hits" (get s2 descriptor_pool_hits)
     (get s3 descriptor_pool_hits);
