@@ -286,23 +286,31 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       | Some s -> s
       | None -> build_setup config
     in
-    (* Warmup phase: same worker loop, results discarded. Skipped in
-       max_ops mode, which exists for deterministic tests. *)
-    if config.warmup_s > 0. && config.max_ops = None then begin
-      let stop = Atomic.make false in
-      let ready = Atomic.make 0 and go = Atomic.make false in
-      let warm =
+    (* Spawn the workers and return once every one waits at the start
+       barrier; they run when [go] is set, until [stop] or [budget]. *)
+    let spawn_ready ~stop ~go ~budget ~stride ~histograms =
+      let ready = Atomic.make 0 in
+      let domains =
         List.init config.threads (fun i ->
             Domain.spawn (fun () ->
                 apply_minor_heap config.minor_heap;
                 await_start ~ready ~go;
-                worker ~ops ~cdf:(cdf_for i) ~setup ~stop ~budget:None
-                  ~seed:(config.seed + ((i + 1) * 104729))
-                  ~histograms:false))
+                worker ~ops ~cdf:(cdf_for i) ~setup ~stop ~budget
+                  ~seed:(config.seed + ((i + 1) * stride))
+                  ~histograms))
       in
       while Atomic.get ready < config.threads do
         Domain.cpu_relax ()
       done;
+      domains
+    in
+    (* Warmup phase: same worker loop, results discarded. Skipped in
+       max_ops mode, which exists for deterministic tests. *)
+    if config.warmup_s > 0. && config.max_ops = None then begin
+      let stop = Atomic.make false and go = Atomic.make false in
+      let warm =
+        spawn_ready ~stop ~go ~budget:None ~stride:104729 ~histograms:false
+      in
       Atomic.set go true;
       Unix.sleepf config.warmup_s;
       Atomic.set stop true;
@@ -320,20 +328,11 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       else None
     in
     if config.sanitize then Sb7_sanitize.Trace.enable ();
-    let stop = Atomic.make false in
-    let ready = Atomic.make 0 and go = Atomic.make false in
+    let stop = Atomic.make false and go = Atomic.make false in
     let domains =
-      List.init config.threads (fun i ->
-          Domain.spawn (fun () ->
-              apply_minor_heap config.minor_heap;
-              await_start ~ready ~go;
-              worker ~ops ~cdf:(cdf_for i) ~setup ~stop ~budget:config.max_ops
-                ~seed:(config.seed + ((i + 1) * 7919))
-                ~histograms:config.histograms))
+      spawn_ready ~stop ~go ~budget:config.max_ops ~stride:7919
+        ~histograms:config.histograms
     in
-    while Atomic.get ready < config.threads do
-      Domain.cpu_relax ()
-    done;
     (* Clock starts when every domain is released, not when the first
        one was spawned. GC counters bracket the same window so the
        per-1k-commits pressure columns cover exactly the measured

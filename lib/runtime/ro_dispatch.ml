@@ -13,8 +13,8 @@
    hot path is a single [Atomic.get] that is [[]] for honest
    workloads, and the list stays as short as the number of lying
    operations (a handful at most), so membership is effectively O(1).
-   [reset] clears it; [reset_stats] clears it together with the STM's
-   counters, so harness/bench runs start from the declared profiles. *)
+   [reset_stats] clears it together with the STM's counters, so
+   harness/bench runs start from the declared profiles. *)
 
 module Make (Stm : Sb7_stm.Stm_intf.S) = struct
   let name = Stm.name
@@ -36,8 +36,6 @@ module Make (Stm : Sb7_stm.Stm_intf.S) = struct
     if not (List.mem name cur) then
       if not (Atomic.compare_and_set demoted cur (name :: cur)) then
         demote name
-
-  let reset () = Atomic.set demoted []
 
   let atomic ~profile f =
     if Op_profile.read_only profile && not (is_demoted profile.Op_profile.op_name)
@@ -61,6 +59,6 @@ module Make (Stm : Sb7_stm.Stm_intf.S) = struct
   let stats () = Sb7_stm.Stm_stats.to_assoc (Stm.stats ())
 
   let reset_stats () =
-    reset ();
+    Atomic.set demoted [];
     Stm.reset_stats ()
 end

@@ -20,11 +20,4 @@ module Make (Stm : Sb7_stm.Stm_intf.S) : sig
       conflict-abort. [stats] is the STM's {!Sb7_stm.Stm_stats}
       snapshot; [reset_stats] also clears the demotion registry. *)
   include Runtime_intf.S with type 'a tvar = 'a Stm.tvar
-
-  (** Has this operation been demoted to update mode? *)
-  val is_demoted : string -> bool
-
-  (** Clear the demotion registry only (the tournament resets its
-      substrates' counters itself). *)
-  val reset : unit -> unit
 end

@@ -16,32 +16,28 @@
    for a streak of epochs, and a fresh champion gets a dwell period),
    so noise cannot make it thrash.
 
-   Substrates keep their own tvar representations, so a tournament
-   tvar is the product of the four substrate tvars, with the invariant
-   that the CURRENT CHAMPION's component is authoritative and the
-   other three may be stale. Transactions only ever touch the
-   champion's component; a switch migrates every registered tvar's
-   value from the old champion's component into the new one's (via the
-   substrates' non-transactional read/write — LSA's non-transactional
-   write versions properly through its vlock) before the new champion
-   sees traffic.
+   A tvar holds one substrate's representation, and transactions only
+   ever touch the champion's: the first [read] or [write] of a tvar
+   under a new champion converts it, building the champion's tvar from
+   the stale one's committed value. The runtime keeps no tvar list, so
+   a switch touches none and an unreferenced tvar is garbage.
 
-   Correctness of the switch rests on an epoch fence: no two
-   substrates' transactions may overlap, and no transaction may
-   overlap the migration. Every domain owns a padded in-transaction
-   flag; a transaction raises its flag and then checks the [pending]
-   word, backing off while a switch is in progress (the same
-   flag-then-check / publish-then-drain pattern as the harness's
-   start barrier, both sides sequentially consistent [Atomic]
-   operations). The switching domain — the epoch decider, which runs
-   BETWEEN its own transactions — publishes [pending], waits until
-   every flag is down, migrates, flips [champion], and releases
-   [pending].
+   Correctness rests on an epoch fence: no two substrates'
+   transactions may overlap, so a stale representation is frozen while
+   it is converted. Every domain owns a padded in-transaction flag; a
+   transaction raises its flag and then checks the [pending] word,
+   backing off while a switch is in progress (the same
+   flag-then-check / publish-then-drain pattern as the harness's start
+   barrier, both sides sequentially consistent [Atomic] operations).
+   The switching domain — the epoch decider, which runs BETWEEN its
+   own transactions — publishes [pending], waits until every flag is
+   down, flips [champion], and releases [pending].
 
-   Costs, by design: 4x tvar memory, a registry entry per tvar, and an
-   O(#tvars) copy per switch — switches are epoch-rare, so the copy
-   amortizes to noise. The per-transaction overhead is one flag store,
-   one [pending] load, and one [champion] load (a read-mostly line). *)
+   Costs: a switch is O(domains), and a tvar pays one conversion per
+   reign in which it is accessed. Per transaction: one flag store, one
+   [pending] load and one [champion] load (a read-mostly line); per
+   access, a [champion] load checked against the tvar's
+   representation. *)
 
 (* The decision rules, pure and separately testable: scores are
    functions of the epoch's signals only, and [decide] folds hysteresis
@@ -150,68 +146,98 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
   module Etl = Sb7_stm.Etl
   module Stm_stats = Sb7_stm.Stm_stats
   module Padded_atomic = Sb7_stm.Padded_atomic
-  module D_tl2 = Ro_dispatch.Make (Tl2)
-  module D_lsa = Ro_dispatch.Make (Lsa)
-  module D_norec = Ro_dispatch.Make (Norec)
-  module D_etl = Ro_dispatch.Make (Etl)
 
   let name = C.name
 
-  type 'a tvar = {
-    t_tl2 : 'a Tl2.tvar;
-    t_lsa : 'a Lsa.tvar;
-    t_norec : 'a Norec.tvar;
-    t_etl : 'a Etl.tvar;
-  }
-
-  (* Which substrate's component is authoritative. Only ever changed
-     inside the quiesce fence, after migration completes (release via
-     the SC [Atomic.set]); transactions sample it after raising their
-     fence flag. *)
+  (* The crowned substrate. Only ever changed inside the quiesce fence
+     (release via the SC [Atomic.set]); transactions sample it after
+     raising their fence flag. *)
   let champion = Atomic.make Policy.tl2
 
   (* A switch in progress: transactions must not start. *)
   let pending = Atomic.make false
 
-  let read_at : type a. a tvar -> int -> a =
-   fun tv i ->
-    if i = Policy.tl2 then Tl2.read tv.t_tl2
-    else if i = Policy.lsa then Lsa.read tv.t_lsa
-    else if i = Policy.norec then Norec.read tv.t_norec
-    else Etl.read tv.t_etl
+  (* One substrate's tvar: the champion's, or a stale one left by an
+     earlier reign that no access has converted yet. *)
+  type 'a repr =
+    | Tl2 of 'a Tl2.tvar
+    | Lsa of 'a Lsa.tvar
+    | Norec of 'a Norec.tvar
+    | Etl of 'a Etl.tvar
 
-  let write_at : type a. a tvar -> int -> a -> unit =
-   fun tv i v ->
-    if i = Policy.tl2 then Tl2.write tv.t_tl2 v
-    else if i = Policy.lsa then Lsa.write tv.t_lsa v
-    else if i = Policy.norec then Norec.write tv.t_norec v
-    else Etl.write tv.t_etl v
+  type 'a tvar = 'a repr Atomic.t
 
-  (* Every tvar registers a monomorphic migration closure; a switch
-     folds the list inside the fence (no transactions running), using
-     the substrates' non-transactional read/write. Aborted creators
-     can leak a registered tvar nothing references — it migrates
-     harmlessly. *)
-  let reg_lock = Mutex.create ()
-  let migrations : (int -> int -> unit) list ref = ref []
+  let repr_in champ v =
+    if champ = Policy.tl2 then Tl2 (Tl2.make v)
+    else if champ = Policy.lsa then Lsa (Lsa.make v)
+    else if champ = Policy.norec then Norec (Norec.make v)
+    else Etl (Etl.make v)
 
-  let make v =
-    let tv =
-      {
-        t_tl2 = Tl2.make v;
-        t_lsa = Lsa.make v;
-        t_norec = Norec.make v;
-        t_etl = Etl.make v;
-      }
+  let make v = Atomic.make (repr_in (Atomic.get champion) v)
+
+  (* Rebuild a stale representation as the champion's. Under the fence
+     no transaction of the stale substrate is in flight, so a plain read
+     returns its committed value. The CAS expects the representation
+     observed, never a re-read of [tv]: that could be a conversion a
+     transaction has since written through. A lost race is harmless:
+     the winner converted the same value. *)
+  let convert tv stale champ =
+    let v =
+      match stale with
+      | Tl2 t -> Tl2.read t
+      | Lsa t -> Lsa.read t
+      | Norec t -> Norec.read t
+      | Etl t -> Etl.read t
     in
-    let migrate from_ to_ = write_at tv to_ (read_at tv from_) in
-    Mutex.lock reg_lock;
-    migrations := migrate :: !migrations;
-    Mutex.unlock reg_lock;
-    tv
+    ignore (Atomic.compare_and_set tv stale (repr_in champ v))
 
-  let read tv = read_at tv (Atomic.get champion)
-  let write tv v = write_at tv (Atomic.get champion) v
+  let rec read tv =
+    let champ = Atomic.get champion in
+    match Atomic.get tv with
+    | Tl2 t when champ = Policy.tl2 -> Tl2.read t
+    | Lsa t when champ = Policy.lsa -> Lsa.read t
+    | Norec t when champ = Policy.norec -> Norec.read t
+    | Etl t when champ = Policy.etl -> Etl.read t
+    | stale ->
+      convert tv stale champ;
+      read tv
+
+  let rec write tv v =
+    let champ = Atomic.get champion in
+    match Atomic.get tv with
+    | Tl2 t when champ = Policy.tl2 -> Tl2.write t v
+    | Lsa t when champ = Policy.lsa -> Lsa.write t v
+    | Norec t when champ = Policy.norec -> Norec.write t v
+    | Etl t when champ = Policy.etl -> Etl.write t v
+    | stale ->
+      convert tv stale champ;
+      write tv v
+
+  (* Everything else a substrate contributes, one record per substrate
+     indexed like {!Policy}: its read-only dispatch, checkpoint
+     capability, counters and reset. *)
+  type substrate = {
+    atomic : 'a. profile:Op_profile.t -> (unit -> 'a) -> 'a;
+    checkpoint : acc:int -> unit;
+    resume : unit -> int * int;
+    snapshot : unit -> Stm_stats.snapshot;
+    reset_stats : unit -> unit;
+  }
+
+  let substrate (module X : Sb7_stm.Stm_intf.S) =
+    let module D = Ro_dispatch.Make (X) in
+    {
+      atomic = D.atomic;
+      checkpoint = D.checkpoint;
+      resume = D.resume;
+      snapshot = X.stats;
+      reset_stats = D.reset_stats;
+    }
+
+  let substrates =
+    Array.map substrate
+      [| (module Tl2 : Sb7_stm.Stm_intf.S); (module Lsa); (module Norec);
+         (module Etl) |]
 
   (* Per-domain fence flag (padded: flags are spun on cross-domain)
      plus domain-local transaction depth and commit tally. *)
@@ -224,12 +250,18 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
   let dstates_lock = Mutex.create ()
   let dstates : dstate list ref = ref []
 
+  (* A domain's flag joins the fence on its first transaction and leaves
+     it at domain exit, so respawned workers accumulate no flags. *)
   let dkey : dstate Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
         let d = { flag = Padded_atomic.make 0; depth = 0; local_commits = 0 } in
         Mutex.lock dstates_lock;
         dstates := d :: !dstates;
         Mutex.unlock dstates_lock;
+        Domain.at_exit (fun () ->
+            Mutex.lock dstates_lock;
+            dstates := List.filter (fun d' -> d' != d) !dstates;
+            Mutex.unlock dstates_lock);
         d)
 
   (* Epoch accounting: domain-local commit tallies flushed to a shared
@@ -246,12 +278,6 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
   let occupancy = Array.make Policy.substrate_count 0
   let prev_snap = Array.make Policy.substrate_count Stm_stats.zero
   let own_stats = Stm_stats.create ()
-
-  let substrate_snapshot i =
-    if i = Policy.tl2 then Tl2.stats ()
-    else if i = Policy.lsa then Lsa.stats ()
-    else if i = Policy.norec then Norec.stats ()
-    else Etl.stats ()
 
   let signals_of_delta ~prev ~cur : Policy.signals =
     let d c =
@@ -272,10 +298,11 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
     }
 
   (* The quiesce fence. Publish [pending], drain every domain's flag,
-     migrate old -> new, crown, release. Runs between the decider's
-     own transactions, so its flag is already down; entering
+     crown, release: O(domains), and no tvar is touched — each converts
+     on its first access under the new champion. Runs between the
+     decider's own transactions, so its flag is already down; entering
      transactions on other domains park until [pending] drops. *)
-  let switch_to ~from_ ~to_ =
+  let switch_to next =
     Atomic.set pending true;
     Mutex.lock dstates_lock;
     let flags = !dstates in
@@ -286,21 +313,18 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
           Domain.cpu_relax ()
         done)
       flags;
-    Mutex.lock reg_lock;
-    let migs = !migrations in
-    Mutex.unlock reg_lock;
-    List.iter (fun m -> m from_ to_) migs;
-    (* The migration itself committed into the target substrate; reset
-       its epoch baseline so the copy traffic is not read as signal. *)
-    prev_snap.(to_) <- substrate_snapshot to_;
-    Atomic.set champion to_;
+    (* Transactions still in flight when [next] was last snapshotted
+       committed into it afterwards; re-baseline so they are not read
+       as this reign's signal. *)
+    prev_snap.(next) <- substrates.(next).snapshot ();
+    Atomic.set champion next;
     Atomic.set pending false
 
   let try_decide () =
     if Atomic.compare_and_set deciding false true then begin
       Padded_atomic.set commit_pool 0;
       let champ = Atomic.get champion in
-      let cur = substrate_snapshot champ in
+      let cur = substrates.(champ).snapshot () in
       let s = signals_of_delta ~prev:prev_snap.(champ) ~cur in
       prev_snap.(champ) <- cur;
       occupancy.(champ) <- occupancy.(champ) + 1;
@@ -309,7 +333,7 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
       policy_state := st;
       let next = Policy.champion st in
       if next <> champ then begin
-        switch_to ~from_:champ ~to_:next;
+        switch_to next;
         Stm_stats.(incr own_stats substrate_switches)
       end;
       Atomic.set deciding false
@@ -336,22 +360,16 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
       enter d
     end
 
-  let dispatch ~profile champ f =
-    if champ = Policy.tl2 then D_tl2.atomic ~profile f
-    else if champ = Policy.lsa then D_lsa.atomic ~profile f
-    else if champ = Policy.norec then D_norec.atomic ~profile f
-    else D_etl.atomic ~profile f
-
   let atomic ~profile f =
     let d = Domain.DLS.get dkey in
     if d.depth > 0 then
       (* Nested: the fence is already held; flatten into the enclosing
          substrate transaction (the substrates all flatten). *)
-      dispatch ~profile (Atomic.get champion) f
+      substrates.(Atomic.get champion).atomic ~profile f
     else begin
       enter d;
       d.depth <- 1;
-      match dispatch ~profile (Atomic.get champion) f with
+      match substrates.(Atomic.get champion).atomic ~profile f with
       | result ->
         d.depth <- 0;
         Padded_atomic.set d.flag 0;
@@ -368,54 +386,32 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
      salvage; a NOrec champion quietly falls back to full aborts —
      closures already handle [resume () = (0, 0)]. *)
   let partial_abort = true
-
-  let checkpoint ~acc =
-    let champ = Atomic.get champion in
-    if champ = Policy.tl2 then D_tl2.checkpoint ~acc
-    else if champ = Policy.lsa then D_lsa.checkpoint ~acc
-    else if champ = Policy.norec then D_norec.checkpoint ~acc
-    else D_etl.checkpoint ~acc
-
-  let resume () =
-    let champ = Atomic.get champion in
-    if champ = Policy.tl2 then D_tl2.resume ()
-    else if champ = Policy.lsa then D_lsa.resume ()
-    else if champ = Policy.norec then D_norec.resume ()
-    else D_etl.resume ()
+  let checkpoint ~acc = substrates.(Atomic.get champion).checkpoint ~acc
+  let resume () = substrates.(Atomic.get champion).resume ()
 
   (* Counters: the four substrates' totals summed (only the champion
      accrues traffic at any time; runs reset first, so the sum is this
      run's work) plus the meta-runtime's own epoch/switch events and
      the champion-occupancy breakdown. *)
   let stats () =
-    let combined = ref (Stm_stats.snapshot own_stats) in
-    for i = 0 to Policy.substrate_count - 1 do
-      combined := Stm_stats.add !combined (substrate_snapshot i)
-    done;
-    Stm_stats.to_assoc !combined
+    Stm_stats.to_assoc
+      (Array.fold_left
+         (fun acc s -> Stm_stats.add acc (s.snapshot ()))
+         (Stm_stats.snapshot own_stats)
+         substrates)
     @ List.init Policy.substrate_count (fun i ->
           ("champion_epochs_" ^ Policy.substrate_names.(i), occupancy.(i)))
 
   (* Reset contract (like every runtime): called quiescent, between
-     runs. Re-crowns TL2 — migrating the authoritative state back so
-     a run never starts on a stale component — and zeroes substrate
-     stats, dispatch demotions, policy state and epoch baselines. *)
+     runs. Re-crowns TL2 through the fence — tvars convert back on
+     their next access — and zeroes substrate stats, dispatch
+     demotions, policy state and epoch baselines. *)
   let reset_stats () =
-    let champ = Atomic.get champion in
-    if champ <> Policy.tl2 then switch_to ~from_:champ ~to_:Policy.tl2;
-    D_tl2.reset ();
-    D_lsa.reset ();
-    D_norec.reset ();
-    D_etl.reset ();
-    Tl2.reset_stats ();
-    Lsa.reset_stats ();
-    Norec.reset_stats ();
-    Etl.reset_stats ();
+    switch_to Policy.tl2;
+    Array.iter (fun s -> s.reset_stats ()) substrates;
     Stm_stats.reset own_stats;
     Array.fill occupancy 0 Policy.substrate_count 0;
-    for i = 0 to Policy.substrate_count - 1 do
-      prev_snap.(i) <- substrate_snapshot i
-    done;
+    Array.iteri (fun i s -> prev_snap.(i) <- s.snapshot ()) substrates;
     policy_state := Policy.initial;
     Padded_atomic.set commit_pool 0
 end

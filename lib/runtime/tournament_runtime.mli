@@ -1,8 +1,9 @@
 (** Adaptive tournament meta-runtime: dispatches every transaction to
     a champion STM substrate (TL2 / LSA / NOrec / ETL) and re-decides
     the champion each epoch from live {!Sb7_stm.Stm_stats} signals,
-    with hysteresis and an epoch-fenced (quiesce + migrate) switch.
-    See the implementation header for the design. *)
+    with hysteresis and an epoch-fenced (quiesce + crown) switch; each
+    tvar converts to the new champion's representation on its first
+    access. See the implementation header for the design. *)
 
 (** The decision rules, pure and separately testable. *)
 module Policy : sig

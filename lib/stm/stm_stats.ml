@@ -90,8 +90,8 @@ let resume_failures = counter "resume_failures"
     set, never by a substrate *)
 let epoch_decisions = counter "epoch_decisions"
 
-(** epoch decisions that crowned a new champion substrate and paid the
-    quiesce + tvar-migration fence *)
+(** epoch decisions that crowned a new champion substrate through the
+    quiesce fence (tvars then convert on their first access) *)
 let substrate_switches = counter "substrate_switches"
 
 (** domains whose first transaction adopted a recycled descriptor

@@ -382,7 +382,7 @@ let test_tournament_phase_change () =
     R.atomic ~profile:ro_profile (fun () ->
         Array.fold_left (fun acc c -> acc + R.read c) 0 cells)
   in
-  Alcotest.(check int) "updates survived every migration"
+  Alcotest.(check int) "updates survived every switch"
     (1_500 + Array.fold_left ( + ) 0 (Array.init 32 (fun i -> i)))
     total
 
@@ -424,6 +424,112 @@ let test_tournament_hysteresis () =
   Alcotest.(check int)
     (Printf.sprintf "crowned after %d consecutive epochs" cfg.P.streak)
     P.norec (P.champion !st)
+
+let ro_profile name = Sb7_runtime.Op_profile.make ~name ()
+
+let wr_profile name =
+  Sb7_runtime.Op_profile.make ~name
+    ~writes:[ Sb7_runtime.Op_profile.Atomic_parts ]
+    ()
+
+(* A hair-trigger instance: short epochs, no dwell, and a one-epoch
+   streak, so every phase flip of the workload below re-crowns. *)
+module Churn_tournament = Tourney.Make (struct
+  let name = "tournament-churn"
+  let epoch_length = 32
+  let policy = { Tourney.Policy.margin = 0.01; streak = 1; dwell = 0 }
+end)
+
+(* Switches under load: four domains alternate blocks of read-only
+   sweeps (NOrec's phase) with blocks of two-cell increments, so the
+   champion changes many times while transactions race the fence.
+   Every increment must survive every switch. *)
+let test_tournament_switches_under_writers () =
+  let module R = Churn_tournament in
+  let domains = 4 and rounds = 20_000 and block = 200 and ncells = 64 in
+  let sweep = ro_profile "churn-sweep" and incr2 = wr_profile "churn-incr" in
+  for run = 1 to 5 do
+    R.reset_stats ();
+    let cells = Array.init ncells (fun _ -> R.make 0) in
+    let sum () = Array.fold_left (fun acc c -> acc + R.read c) 0 cells in
+    let worker d () =
+      let rng = Random.State.make [| run; d |] in
+      let made = ref 0 in
+      for i = 0 to rounds - 1 do
+        if i / block mod 2 = 0 then ignore (R.atomic ~profile:sweep sum)
+        else begin
+          let a = Random.State.int rng ncells in
+          let b = (a + 1 + Random.State.int rng (ncells - 1)) mod ncells in
+          R.atomic ~profile:incr2 (fun () ->
+              R.write cells.(a) (R.read cells.(a) + 1);
+              R.write cells.(b) (R.read cells.(b) + 1));
+          made := !made + 2
+        end
+      done;
+      !made
+    in
+    let made =
+      List.init domains (fun d -> Domain.spawn (worker d))
+      |> List.fold_left (fun acc d -> acc + Domain.join d) 0
+    in
+    let c k = Option.value (List.assoc_opt k (R.stats ())) ~default:0 in
+    Alcotest.(check int)
+      (Printf.sprintf "run %d: cells sum to the increments made" run)
+      made
+      (R.atomic ~profile:sweep sum);
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: the champion switched (%d)" run
+         (c "substrate_switches"))
+      true
+      (c "substrate_switches" > 0)
+  done
+
+module Fence_tournament = Tourney.Make (struct
+  let name = "tournament-fence"
+  let epoch_length = 64
+  let policy = Tourney.Policy.default_config
+end)
+
+(* Each [Benchmark.run] spawns fresh workers, so the fence must forget
+   a domain once it exits: 500 short-lived domains that each commit
+   one transaction may not grow the live heap by a word apiece. One
+   warm-up domain first fills the substrates' descriptor and counter
+   pools, which later domains recycle. *)
+let test_tournament_forgets_exited_domains () =
+  let module R = Fence_tournament in
+  let tv = R.make 0 and incr1 = wr_profile "fence-incr" in
+  let cycle () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           R.atomic ~profile:incr1 (fun () -> R.write tv (R.read tv + 1))))
+  in
+  cycle ();
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for _ = 1 to 500 do
+    cycle ()
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).live_words - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words over 500 domains" grown)
+    true (grown < 500);
+  Alcotest.(check int) "every domain committed" 501 (R.read tv)
+
+(* A tvar nothing references must be garbage, whatever the
+   tournament's champion history. *)
+let test_tournament_tvar_collected () =
+  let module R = Fence_tournament in
+  let weak = Weak.create 1 in
+  let[@inline never] fill () =
+    let tv = R.make 0 in
+    R.atomic ~profile:(wr_profile "leak-write") (fun () -> R.write tv 1);
+    Weak.set weak 0 (Some tv)
+  in
+  fill ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped tvar is gone" true
+    (Option.is_none (Weak.get weak 0))
 
 (* The registry is the single source the CLI strategy listing, the
    quick-bench sweep and the sanitizer's check loop are generated
@@ -501,6 +607,13 @@ let () =
             test_tournament_phase_change;
           Alcotest.test_case "tournament hysteresis never flaps" `Quick
             test_tournament_hysteresis;
+          Alcotest.test_case
+            "tournament switches under concurrent writers lose no update"
+            `Quick test_tournament_switches_under_writers;
+          Alcotest.test_case "tournament fence forgets exited domains" `Quick
+            test_tournament_forgets_exited_domains;
+          Alcotest.test_case "an unreferenced tournament tvar is collected"
+            `Quick test_tournament_tvar_collected;
           Alcotest.test_case "registry is the single strategy source" `Quick
             test_registry_names;
           Alcotest.test_case "every runtime honours the counter contract"
