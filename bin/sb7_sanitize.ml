@@ -3,19 +3,22 @@
 
    Two commands:
 
-   - [check]: every registered strategy gets a sanitized run; any
-     finding fails the command (exit 1) and dumps the offending trace
-     for offline inspection. The seq runtime has no synchronization at
-     all, so it is only meaningful — and only run — single-threaded.
+   - [check]: every registered strategy gets a sanitized run, whose
+     trace is also replayed against the static footprint table; any
+     finding or footprint escape fails the command (exit 1) and dumps
+     the offending trace for offline inspection. The seq runtime has no
+     synchronization at all, so it is only meaningful — and only run —
+     single-threaded.
 
    - [seeded FIXTURE]: enable one deliberately planted bug
      (tl2-no-validation: TL2 commits and extends without validating its
      read set; tl2-unvalidated-resume: a partial abort salvages its
      checkpoint prefix without validating it; norec-skip-revalidation:
      NOrec adopts new sequence numbers and commits without its
-     value-based validation pass; medium-drop-lock: the
-     medium runtime silently skips its first write lock) and demand
-     that the checker flags it. A seeded
+     value-based validation pass; medium-drop-lock: the medium runtime
+     silently skips its first write lock; fine-early-read-release: the
+     fine runtime drops each read lock as soon as it takes it) and
+     demand that the checker flags it. A seeded
      run that comes back clean fails the command: the sanitizer did not
      bite. Detection is probabilistic — the bug needs an actual
      interleaving — so the run is retried with doubled duration a few
@@ -98,6 +101,20 @@ let analyze_current runtime_name =
     ~profile:(Checker.profile_of_runtime runtime_name)
     (Trace.dump ())
 
+(* The static footprint table and region naming, in the shape the
+   checker's replay consumes. Going through Sb7_core.Op_footprint.masks
+   keeps the CLI and the generated table on one definition of
+   "may-footprint". *)
+let fp_table = Sb7_core.Op_footprint.masks
+
+let fp_region_name code =
+  match Sb7_runtime.Region.of_int code with
+  | Some r -> Sb7_runtime.Region.to_string r
+  | None -> Printf.sprintf "region#%d" code
+
+let fp_check dump =
+  Checker.footprint ~table:fp_table ~region_name:fp_region_name dump
+
 (* --- check: all honest strategies must come back clean ------------- *)
 
 let check threads length scale seed dir =
@@ -117,17 +134,22 @@ let check threads length scale seed dir =
         failed := true
       | Ok result -> (
         match result.Sb7_harness.Run_result.sanitizer with
-        | Some v when Checker.clean v ->
-          Format.printf "%-8s clean  (%d domains, %d attempts, %d events)@."
-            name v.Checker.domains v.Checker.attempts v.Checker.events
-        | Some v ->
-          let path = save_trace ~dir ~name in
-          Format.printf "%-8s FLAGGED (trace saved to %s)@.%s@." name path
-            (Checker.summary v);
-          failed := true
         | None ->
           Format.printf "%-8s ERROR sanitizer produced no verdict@." name;
-          failed := true))
+          failed := true
+        | Some v ->
+          (* The verdict's trace is still in the buffers, region notes
+             included: replay it against the footprint table too. *)
+          let fp = fp_check (Trace.dump ()) in
+          if Checker.clean v && Checker.fp_clean fp then
+            Format.printf "%-8s clean  (%d domains, %d attempts, %d events)@."
+              name v.Checker.domains v.Checker.attempts v.Checker.events
+          else begin
+            let path = save_trace ~dir ~name in
+            Format.printf "%-8s FLAGGED (trace saved to %s)@.%s%s@." name path
+              (Checker.summary v) (Checker.fp_summary fp);
+            failed := true
+          end))
     Sb7_runtime.Registry.all;
   if !failed then 1 else 0
 
@@ -188,7 +210,18 @@ let fixtures =
       fx_expected = (fun v -> v.Checker.races);
       fx_expected_name = "lockset race";
     };
+    {
+      fx_name = "fine-early-read-release";
+      fx_runtime = "fine";
+      fx_arm = Sb7_runtime.Fine_runtime.Unsafe.release_reads_early;
+      fx_disarm = Sb7_runtime.Fine_runtime.Unsafe.reset;
+      fx_expected = (fun v -> v.Checker.races);
+      fx_expected_name = "lockset race";
+    };
   ]
+
+let fixture_names =
+  String.concat " | " (List.map (fun f -> f.fx_name) fixtures)
 
 let fixture_conv =
   let parse s =
@@ -198,8 +231,7 @@ let fixture_conv =
       Error
         (`Msg
            (Printf.sprintf "unknown fixture %S (expected %s)" s
-              (String.concat " | "
-                 (List.map (fun f -> f.fx_name) fixtures))))
+              fixture_names))
   in
   Arg.conv ~docv:"FIXTURE"
     (parse, fun ppf f -> Format.pp_print_string ppf f.fx_name)
@@ -261,18 +293,8 @@ let seeded fixture threads length scale seed dir =
 
 (* --- footprint: trace replay vs the static footprint table --------- *)
 
-(* The static table and region naming, in the shape the checker's
-   replay consumes. Going through Sb7_core.Op_footprint.masks keeps the
-   CLI and the generated table on one definition of "may-footprint". *)
-let fp_table = Sb7_core.Op_footprint.masks
-
-let fp_region_name code =
-  match Sb7_runtime.Region.of_int code with
-  | Some r -> Sb7_runtime.Region.to_string r
-  | None -> Printf.sprintf "region#%d" code
-
 let fp_replay what dump =
-  let v = Checker.footprint ~table:fp_table ~region_name:fp_region_name dump in
+  let v = fp_check dump in
   Format.printf "%-8s %s@." what
     (if Checker.fp_clean v then
        Printf.sprintf "clean  (%d domains, %d attempts, %d accesses checked)"
@@ -290,32 +312,6 @@ let footprint_trace path =
   end;
   let v = fp_replay (Filename.basename path) (Trace.load path) in
   if Checker.fp_clean v then 0 else 1
-
-(* Fresh sanitized run of every registered runtime; each dump must
-   replay with zero contradictions. *)
-let footprint_all threads length scale seed dir =
-  let failed = ref false in
-  List.iter
-    (fun (name, _) ->
-      let threads = if String.equal name "seq" then 1 else threads in
-      let cfg =
-        config ~threads ~length ~scale ~seed ~workload:Workload.Read_write
-      in
-      match Sb7_harness.Driver.run ~runtime_name:name cfg with
-      | Error e ->
-        Format.printf "%-8s ERROR %s@." name e;
-        failed := true
-      | Ok _ ->
-        (* The run's verdict used the same dump; replay it against the
-           footprint table (note buffers survive the run). *)
-        let v = fp_replay name (Trace.dump ()) in
-        if not (Checker.fp_clean v) then begin
-          let path = save_trace ~dir ~name:(name ^ "-footprint") in
-          Format.printf "  trace saved to %s@." path;
-          failed := true
-        end)
-    Sb7_runtime.Registry.all;
-  if !failed then 1 else 0
 
 (* Seeded escapes: arm one of the harness's planted out-of-region
    accesses and demand the replay reports it. The injection fires on
@@ -378,12 +374,12 @@ let footprint_seeded fixture threads length scale seed dir =
 
 let footprint trace seeded threads length scale seed dir =
   match (trace, seeded) with
-  | Some _, Some _ ->
-    Format.eprintf "error: TRACE and --seeded are mutually exclusive@.";
-    exit 2
   | Some path, None -> footprint_trace path
   | None, Some fixture -> footprint_seeded fixture threads length scale seed dir
-  | None, None -> footprint_all threads length scale seed dir
+  | _ ->
+    Format.eprintf
+      "error: give either TRACE or --seeded (check replays every run)@.";
+    exit 2
 
 (* --- Seeded domain race (R7 static/dynamic cross-check) ------------ *)
 
@@ -533,7 +529,8 @@ let dir_arg =
 
 let check_cmd =
   let doc =
-    "Sanitized run of every registered strategy; any finding fails."
+    "Sanitized run of every registered strategy, replayed against the \
+     static footprint table too; any finding or escape fails."
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
@@ -543,9 +540,7 @@ let seeded_cmd =
   let doc = "Plant a known bug and demand the sanitizer flags it." in
   let fixture_arg =
     Arg.(required & pos 0 (some fixture_conv) None
-         & info [] ~docv:"FIXTURE"
-             ~doc:"tl2-no-validation | tl2-unvalidated-resume | \
-                   norec-skip-revalidation | medium-drop-lock")
+         & info [] ~docv:"FIXTURE" ~doc:fixture_names)
   in
   Cmd.v (Cmd.info "seeded" ~doc)
     Term.(
@@ -556,8 +551,8 @@ let footprint_cmd =
   let doc =
     "Replay a trace against the static footprint table \
      (lib/core/op_footprint.ml): every tvar access must fall inside its \
-     operation's inferred may-read / may-write region set. With no \
-     argument, runs and replays every registered runtime."
+     operation's inferred may-read / may-write region set. $(b,check) \
+     replays every registered runtime's run."
   in
   let trace_arg =
     Arg.(value & pos 0 (some string) None

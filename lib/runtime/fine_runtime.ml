@@ -113,6 +113,16 @@ module Hooks = Sb7_rwlock.Lock_hooks
 
 let lock_uid tv = Hooks.anonymous_base + tv.id
 
+(* Seeded-bug fixture for the sanitizer (docs/SANITIZER.md): while
+   armed, a read takes its tvar's lock and drops it at once, both events
+   traced, so reads escape two-phase locking. The lockset checker must
+   flag the unguarded reads; never arm outside sanitizer fixtures. *)
+module Unsafe = struct
+  let early = Atomic.make false
+  let release_reads_early () = Atomic.set early true
+  let reset () = Atomic.set early false
+end
+
 let lock_for_read ctx tv =
   match Hashtbl.find_opt ctx.held tv.id with
   | Some _ -> () (* already held in either mode *)
@@ -120,11 +130,12 @@ let lock_for_read ctx tv =
     if not (try_read_lock tv.lock) then raise Restart;
     C.incr counters acquisitions;
     Hooks.on_acquire ~id:(lock_uid tv) ~exclusive:false;
-    Hashtbl.add ctx.held tv.id
-      ( ref Held_read,
-        fun () ->
-          Hooks.on_release ~id:(lock_uid tv) ~exclusive:false;
-          release_read tv.lock )
+    let release () =
+      Hooks.on_release ~id:(lock_uid tv) ~exclusive:false;
+      release_read tv.lock
+    in
+    if Atomic.get Unsafe.early then release ()
+    else Hashtbl.add ctx.held tv.id (ref Held_read, release)
 
 let lock_for_write ctx tv =
   match Hashtbl.find_opt ctx.held tv.id with

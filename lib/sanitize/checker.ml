@@ -33,7 +33,8 @@ let profile_of_runtime = function
        surface through the opacity analyses, not the lockset. *)
     { rollback_on_failure = true; lockset = false; ranked_locks = [] }
   | "fine" ->
-    (* per-tvar locks are anonymous: raced-checked but rank-exempt *)
+    (* per-tvar locks are anonymous: each guards only its own tvar, and
+       none is ranked *)
     { rollback_on_failure = true; lockset = true; ranked_locks = [] }
   | "medium" ->
     { rollback_on_failure = false; lockset = true; ranked_locks = medium_ranks }
@@ -493,8 +494,9 @@ let analyze ~profile (dump : Trace.dump) =
 
   (* ---- Pass 5: lockset race + lock-order analysis. ----------------- *)
   if profile.lockset then begin
+    let anonymous uid = uid >= Sb7_rwlock.Lock_hooks.anonymous_base in
     let lock_name uid =
-      if uid >= Sb7_rwlock.Lock_hooks.anonymous_base then
+      if anonymous uid then
         Printf.sprintf "tvar-lock#%d" (uid - Sb7_rwlock.Lock_hooks.anonymous_base)
       else
         match List.assoc_opt uid dump.locks with
@@ -511,40 +513,32 @@ let analyze ~profile (dump : Trace.dump) =
         dump.locks;
       fun uid -> Hashtbl.find_opt tbl uid
     in
-    (* Access signature = the multiset of locks held at the access,
-       each with the strongest mode it is held in. Per tvar we bucket
-       accesses by signature and record which domains and access kinds
-       hit each bucket; the pairwise check below then needs only the
-       (few) distinct signatures, not the (many) accesses. *)
-    let sigs : (int, (string, (int * bool) list * bool ref * int ref) Hashtbl.t)
-        Hashtbl.t =
-      Hashtbl.create 256
-    in
+    (* Access signature = the locks that can order the access, each
+       with the strongest mode it is held in, sorted by uid: the named
+       locks held, plus the accessed tvar's own per-tvar lock while it
+       is held (bound by the trace.mli contract). Another tvar's lock
+       orders nothing and is left out. Per tvar we bucket accesses by
+       signature and record which domains and access kinds hit each
+       bucket; the pairwise check below then needs only the (few)
+       distinct signatures, not the (many) accesses. *)
+    let sigs = Hashtbl.create 256 in
     let order_reported = Hashtbl.create 16 in
     Array.iteri
       (fun dom stream ->
-        let held : (int, bool) Hashtbl.t = Hashtbl.create 8 in
-        let cur_key = ref "" in
-        let cur_locks = ref [] in
-        let dirty = ref false in
-        let refresh () =
-          if !dirty then begin
-            let l =
-              Hashtbl.fold (fun uid excl acc -> (uid, excl) :: acc) held []
-            in
-            let l = List.sort compare l in
-            cur_locks := l;
-            cur_key :=
-              String.concat ";"
-                (List.map
-                   (fun (uid, excl) ->
-                     Printf.sprintf "%d%c" uid (if excl then 'W' else 'R'))
-                   l);
-            dirty := false
-          end
-        in
-        let record sid ~write =
-          refresh ();
+        (* named locks held, as a sorted (uid, exclusive) list;
+           anonymous ones held (uid -> exclusive); and the per-tvar
+           lock each accessed tvar is bound to (sid -> uid) *)
+        let named = ref [] in
+        let anon = Hashtbl.create 64 and guard = Hashtbl.create 256 in
+        let pending = ref (-1) in
+        let record ~bound sid ~write =
+          if bound >= 0 then Hashtbl.replace guard sid bound;
+          let locks =
+            match Hashtbl.find_opt guard sid with
+            | Some uid when Hashtbl.mem anon uid ->
+              !named @ [ (uid, Hashtbl.find anon uid) ]
+            | _ -> !named
+          in
           let per_sid =
             match Hashtbl.find_opt sigs sid with
             | Some t -> t
@@ -553,54 +547,62 @@ let analyze ~profile (dump : Trace.dump) =
               Hashtbl.add sigs sid t;
               t
           in
-          match Hashtbl.find_opt per_sid !cur_key with
-          | Some (_, w, doms) ->
+          match Hashtbl.find_opt per_sid locks with
+          | Some (w, doms) ->
             if write then w := true;
             doms := !doms lor (1 lsl dom)
-          | None ->
-            Hashtbl.add per_sid !cur_key (!cur_locks, ref write, ref (1 lsl dom))
+          | None -> Hashtbl.add per_sid locks (ref write, ref (1 lsl dom))
         in
         let i = ref 0 in
         let n = Array.length stream in
         while !i < n do
           let tag = stream.(!i) in
+          (* an anonymous acquire binds only the very next event *)
+          let bound = !pending in
+          pending := -1;
           (if tag = Trace.tag_acquire then begin
              let uid = stream.(!i + 1) in
              let excl = stream.(!i + 2) = 1 in
-             (match rank_of uid with
-             | None -> ()
-             | Some r ->
-               Hashtbl.iter
-                 (fun held_uid _ ->
-                   match rank_of held_uid with
-                   | Some r' when r' > r ->
-                     let key = (held_uid, uid) in
-                     if not (Hashtbl.mem order_reported key) then begin
-                       Hashtbl.add order_reported key ();
-                       add_finding order
-                         (Printf.sprintf
-                            "lock-order violation on domain %d: acquired \
-                             %s while holding %s (declared order: %s first)"
-                            dom (lock_name uid) (lock_name held_uid)
-                            (lock_name uid))
-                     end
-                   | _ -> ())
-                 held);
              (* re-entrant read->write upgrade keeps the strongest mode *)
-             let excl =
-               match Hashtbl.find_opt held uid with
-               | Some true -> true
-               | _ -> excl
-             in
-             Hashtbl.replace held uid excl;
-             dirty := true
+             if anonymous uid then begin
+               Hashtbl.replace anon uid
+                 (excl || Hashtbl.find_opt anon uid = Some true);
+               pending := uid
+             end
+             else begin
+               (match rank_of uid with
+               | None -> ()
+               | Some r ->
+                 List.iter
+                   (fun (held_uid, _) ->
+                     match rank_of held_uid with
+                     | Some r' when r' > r ->
+                       let key = (held_uid, uid) in
+                       if not (Hashtbl.mem order_reported key) then begin
+                         Hashtbl.add order_reported key ();
+                         add_finding order
+                           (Printf.sprintf
+                              "lock-order violation on domain %d: acquired \
+                               %s while holding %s (declared order: %s first)"
+                              dom (lock_name uid) (lock_name held_uid)
+                              (lock_name uid))
+                       end
+                     | _ -> ())
+                   !named);
+               let excl = excl || List.assoc_opt uid !named = Some true in
+               named :=
+                 List.sort compare ((uid, excl) :: List.remove_assoc uid !named)
+             end
            end
            else if tag = Trace.tag_release then begin
-             Hashtbl.remove held (stream.(!i + 1));
-             dirty := true
+             let uid = stream.(!i + 1) in
+             if anonymous uid then Hashtbl.remove anon uid
+             else named := List.remove_assoc uid !named
            end
-           else if tag = Trace.tag_read then record stream.(!i + 1) ~write:false
-           else if tag = Trace.tag_write then record stream.(!i + 1) ~write:true);
+           else if tag = Trace.tag_read then
+             record ~bound stream.(!i + 1) ~write:false
+           else if tag = Trace.tag_write then
+             record ~bound stream.(!i + 1) ~write:true);
           i := !i + arity.(tag)
         done)
       dump.streams;
@@ -633,7 +635,7 @@ let analyze ~profile (dump : Trace.dump) =
       (fun sid per_sid ->
         let buckets =
           Hashtbl.fold
-            (fun _ (locks, w, doms) acc -> (locks, !w, !doms) :: acc)
+            (fun locks (w, doms) acc -> (locks, !w, !doms) :: acc)
             per_sid []
         in
         let rec pairs = function

@@ -9,11 +9,11 @@
       per-tvar version-chain integrity: a fork in a chain is a lost
       update). Runs for every runtime.
     - {b Eraser-style lockset races}: for the lock-based runtimes,
-      every shared tvar's accesses must be pairwise ordered by some
-      common lock held exclusively on at least one side; the
+      every shared tvar's accesses must be pairwise ordered by a common
+      lock held exclusively on at least one side: a named lock, or the
+      tvar's own per-tvar lock (another tvar's lock orders nothing); the
       acquisition order of ranked locks is checked against the declared
-      lock-order table (the same order sb7-lint's R3 enforces
-      statically).
+      lock-order table (the order sb7-lint's R3 enforces statically).
     - {b structural sweep}: performed by the harness (it needs the live
       structure); its findings are attached with {!with_structural}. *)
 

@@ -26,18 +26,25 @@ type buf = {
   mutable len : int;
 }
 
-(* All buffers ever created, for reset/dump; registration happens once
-   per domain, under a mutex. *)
-let registry_mutex = Mutex.create ()
-let buffers : buf list ref = ref []
+(* The per-domain buffers of one kind. A domain's buffer joins [live]
+   on first use (under a mutex) and moves to [retired] when the domain
+   exits: the next dump still reads it, the next reset of its kind
+   drops it, so respawned workers do not each pin a grown buffer. *)
+type pool = { mutable live : buf list; mutable retired : buf list }
 
-let buf_key : buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b = { data = Array.make (1 lsl 14) 0; len = 0 } in
-      Mutex.lock registry_mutex;
-      buffers := b :: !buffers;
-      Mutex.unlock registry_mutex;
-      b)
+let registry_mutex = Mutex.create ()
+
+let register pool size () =
+  let b = { data = Array.make size 0; len = 0 } in
+  Mutex.protect registry_mutex (fun () -> pool.live <- b :: pool.live);
+  Domain.at_exit (fun () ->
+      Mutex.protect registry_mutex (fun () ->
+          pool.live <- List.filter (fun b' -> b' != b) pool.live;
+          pool.retired <- b :: pool.retired));
+  b
+
+let events = { live = []; retired = [] }
+let buf_key = Domain.DLS.new_key (register events (1 lsl 14))
 
 (* Region notes — (sid, region) pairs recorded at tvar creation — live
    in their own per-domain buffers, separate from the event streams:
@@ -45,15 +52,8 @@ let buf_key : buf Domain.DLS.key =
    needs the region of every tvar, setup-created ones included) and
    they survive {!reset} (resetting between warmup and measurement must
    not orphan the structure's tvars). *)
-let note_buffers : buf list ref = ref []
-
-let note_key : buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b = { data = Array.make (1 lsl 12) 0; len = 0 } in
-      Mutex.lock registry_mutex;
-      note_buffers := b :: !note_buffers;
-      Mutex.unlock registry_mutex;
-      b)
+let notes = { live = []; retired = [] }
+let note_key = Domain.DLS.new_key (register notes (1 lsl 12))
 
 (* Operation-name interning for begin events: a handful of distinct
    names, interned once per outer [atomic] call — a mutex here is off
@@ -173,37 +173,33 @@ let disable () =
   on := false;
   Sb7_rwlock.Lock_hooks.disable ()
 
+(* Quiesced only: every exited domain has run its exit hook. *)
+let reset_pool pool =
+  pool.retired <- [];
+  List.iter (fun b -> b.len <- 0) pool.live
+
 (* Event buffers only: region notes describe the still-live structure
    and must survive into the next measurement phase's dump. *)
-let reset () = List.iter (fun b -> b.len <- 0) !buffers
+let reset () = reset_pool events
 
 (* Sid allocators restart per Sanitize.Make instance, so notes from a
    previous run's (now dead) structure would collide with the next
    run's sids; the harness clears them before building a structure. *)
-let reset_notes () = List.iter (fun b -> b.len <- 0) !note_buffers
+let reset_notes () = reset_pool notes
 
 let dump () =
   let streams =
-    !buffers
+    events.live @ events.retired
     |> List.filter (fun b -> b.len > 0)
     |> List.map (fun b -> Array.sub b.data 0 b.len)
     |> Array.of_list
   in
   let regions =
-    let total =
-      List.fold_left (fun acc b -> acc + (b.len / 2)) 0 !note_buffers
-    in
-    let out = Array.make total (0, 0) in
-    let k = ref 0 in
-    List.iter
-      (fun b ->
-        let m = b.len / 2 in
-        for j = 0 to m - 1 do
-          out.(!k + j) <- (b.data.(2 * j), b.data.((2 * j) + 1))
-        done;
-        k := !k + m)
-      !note_buffers;
-    out
+    notes.live @ notes.retired
+    |> List.map (fun b ->
+           Array.init (b.len / 2) (fun j ->
+               (b.data.(2 * j), b.data.((2 * j) + 1))))
+    |> Array.concat
   in
   let ops =
     Mutex.lock ops_mutex;

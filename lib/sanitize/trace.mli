@@ -22,7 +22,10 @@
     - [tag_commit; ts] — the attempt committed
     - [tag_rollback] — the attempt rolled back with an exception
     - [tag_acquire; uid; excl] / [tag_release; uid; excl] — lock
-      transitions (from {!Sb7_rwlock.Lock_hooks})
+      transitions (from {!Sb7_rwlock.Lock_hooks}). An anonymous
+      acquire ([uid >= anonymous_base], a per-tvar lock) guards the
+      tvar of the next access in its stream when that access is the
+      very next event, and then guards only that tvar, until its release
     - [tag_partial; reads_kept; writes_kept] — the attempt partially
       aborted to a checkpoint: its first [reads_kept] read events and
       [writes_kept] write events stand, every later access it logged
@@ -71,13 +74,15 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
-(** Drop all recorded events (buffers stay allocated). Quiesced only. *)
+(** Drop all recorded events, and free the event buffers of exited
+    domains ({!dump} reads them until then). Quiesced only. *)
 val reset : unit -> unit
 
 (** Drop all region notes. Each [Sanitize.Make] instance restarts its
     sid allocator, so a second sanitized run in the same process would
     otherwise read the previous structure's stale notes; the harness
-    calls this before building a structure. Quiesced only. *)
+    calls this before building a structure. Exited domains' note
+    buffers are freed. Quiesced only. *)
 val reset_notes : unit -> unit
 
 (** Fresh global write id (> 0). Version id 0 is reserved for values

@@ -331,6 +331,96 @@ let test_anonymous_locks_exempt_from_order () =
   check_clean "anonymous locks"
     (Checker.analyze ~profile:(lock_profile ~ranked ()) d)
 
+(* fine's per-tvar locks: anonymous uids, each guarding only the tvar
+   whose access immediately follows its acquire (trace.mli). *)
+let fine_profile = Checker.profile_of_runtime "fine"
+let tvar_lock sid = Sb7_rwlock.Lock_hooks.anonymous_base + sid
+
+let test_other_tvar_lock_orders_nothing () =
+  (* Both domains hold tvar 5's lock exclusively while writing tvar 9,
+     whose own lock neither takes: that lock does not order tvar 9. *)
+  let x = tvar_lock 5 in
+  let d =
+    dump
+      [
+        [ begin_ 1; acq x; read_ 5 0; write_ 9 10 0; rel x; commit 2 ];
+        [ begin_ 3; acq x; read_ 5 0; write_ 9 11 10; rel x; commit 4 ];
+      ]
+  in
+  expect ~category:`Races ~mentions:"data race on tvar 9"
+    (Checker.analyze ~profile:fine_profile d)
+
+(* The wrapper's write reads first, so fine's traced write is a read
+   lock, its release, and the write lock the upgrade takes. *)
+let fine_write g sid wid prev =
+  [ acq ~excl:false g; rel ~excl:false g; acq g; write_ sid wid prev ]
+
+let test_tvar_lock_upgrade_clean () =
+  let g = tvar_lock 9 in
+  let d =
+    dump
+      [
+        [ begin_ 1 ] @ fine_write g 9 10 0 @ [ rel g; commit 2 ];
+        [ begin_ 3 ] @ fine_write g 9 11 10 @ [ rel g; commit 4 ];
+      ]
+  in
+  check_clean "upgraded per-tvar lock" (Checker.analyze ~profile:fine_profile d)
+
+let test_tvar_lock_reread_keeps_guard () =
+  (* Domain 0 re-reads tvar 9 after touching tvar 5: no new acquire
+     precedes the re-read, yet 9's lock still guards it. *)
+  let g = tvar_lock 9 and h = tvar_lock 5 in
+  let d =
+    dump
+      [
+        [
+          begin_ 1; acq ~excl:false g; read_ 9 0; acq ~excl:false h; read_ 5 0;
+          read_ 9 0; rel ~excl:false h; rel ~excl:false g; commit 2;
+        ];
+        [ begin_ 3 ] @ fine_write g 9 10 0 @ [ rel g; commit 4 ];
+      ]
+  in
+  check_clean "re-read under its own lock"
+    (Checker.analyze ~profile:fine_profile d)
+
+let test_lockset_linear_on_fine_traces () =
+  (* Strict 2PL over a sliding window: attempt [j] locks and writes
+     tvars j .. j+99, so every attempt holds a different lock set. The
+     domains alternate in one serial history, so the trace is clean. A
+     signature of every held lock gives each access its own bucket and
+     makes the pairwise check quadratic; the guard rule gives one
+     bucket per tvar. *)
+  let attempts = 300 and guards = 100 in
+  let last = Array.make (attempts + guards) 0 and wid = ref 0 in
+  let streams = [| []; [] |] in
+  for k = 0 to (2 * attempts) - 1 do
+    let dom = k mod 2 and j = k / 2 in
+    let sids = List.init guards (fun g -> j + g) in
+    let locked =
+      List.map
+        (fun sid ->
+          incr wid;
+          let prev = last.(sid) in
+          last.(sid) <- !wid;
+          acq (tvar_lock sid) @ write_ sid !wid prev)
+        sids
+    in
+    let evs =
+      (begin_ ((2 * k) + 1) :: locked)
+      @ List.map (fun sid -> rel (tvar_lock sid)) sids
+      @ [ commit ((2 * k) + 2) ]
+    in
+    streams.(dom) <- List.rev_append evs streams.(dom)
+  done;
+  let d = dump (List.map List.rev (Array.to_list streams)) in
+  let t0 = Sys.time () in
+  let v = Checker.analyze ~profile:fine_profile d in
+  let took = Sys.time () -. t0 in
+  check_clean "sliding 2PL window" v;
+  Alcotest.(check bool)
+    (Printf.sprintf "analysis took %.2f s (bound 4 s)" took)
+    true (took < 4.)
+
 (* -- Trace round-trip ----------------------------------------------- *)
 
 let test_trace_save_load () =
@@ -345,6 +435,38 @@ let test_trace_save_load () =
       let d' = Trace.load path in
       Alcotest.(check bool) "streams survive" true (d'.Trace.streams = d.Trace.streams);
       Alcotest.(check bool) "locks survive" true (d'.Trace.locks = d.Trace.locks))
+
+(* Each traced domain registers an event buffer and a note buffer.
+   Once the domain has exited, the next dump still reads them and the
+   next reset of each kind frees them: respawned workers must not pin
+   one grown buffer each. *)
+let test_exited_domain_buffers_freed () =
+  let cycle () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Trace.on_commit ();
+           Trace.note_region ~sid:1 ~region:0));
+    let d = Trace.dump () in
+    Trace.reset ();
+    Trace.reset_notes ();
+    d
+  in
+  Trace.reset ();
+  let d = cycle () in
+  Alcotest.(check int) "the exited domain's events are dumped" 1
+    (Array.length d.Trace.streams);
+  Alcotest.(check bool) "and its region note" true
+    (Array.mem (1, 0) d.Trace.regions);
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for _ = 1 to 50 do
+    ignore (cycle ())
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).live_words - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words over 50 domains" grown)
+    true (grown < 1 lsl 12)
 
 (* -- The wrapper runtime -------------------------------------------- *)
 
@@ -559,6 +681,11 @@ let test_seeded_medium_drop_lock () =
     ~arm:Sb7_runtime.Medium_runtime.Unsafe.drop_first_write_lock
     ~disarm:Sb7_runtime.Medium_runtime.Unsafe.reset
 
+let test_seeded_fine_early_read_release () =
+  detect "fine" ~category:`Races
+    ~arm:Sb7_runtime.Fine_runtime.Unsafe.release_reads_early
+    ~disarm:Sb7_runtime.Fine_runtime.Unsafe.reset
+
 (* Partial aborts that resume without validating the salvaged prefix:
    the resumed attempt straddles the conflicting commit, which the
    opacity analyses must flag (write-dominated + long traversals so
@@ -613,6 +740,14 @@ let () =
             test_lock_order_respected;
           Alcotest.test_case "anonymous locks exempt" `Quick
             test_anonymous_locks_exempt_from_order;
+          Alcotest.test_case "another tvar's lock orders nothing" `Quick
+            test_other_tvar_lock_orders_nothing;
+          Alcotest.test_case "per-tvar lock upgrade clean" `Quick
+            test_tvar_lock_upgrade_clean;
+          Alcotest.test_case "re-read keeps its tvar's guard" `Quick
+            test_tvar_lock_reread_keeps_guard;
+          Alcotest.test_case "linear on fine-shaped traces" `Quick
+            test_lockset_linear_on_fine_traces;
         ] );
       ( "trace",
         [
@@ -621,6 +756,8 @@ let () =
             test_wrapper_transparent;
           Alcotest.test_case "wrapper records when on" `Quick
             test_wrapper_records;
+          Alcotest.test_case "exited domains' buffers freed" `Quick
+            test_exited_domain_buffers_freed;
         ] );
       ( "footprint",
         [
@@ -643,5 +780,7 @@ let () =
             test_seeded_medium_drop_lock;
           Alcotest.test_case "seeded: tl2 unvalidated resume" `Quick
             test_seeded_tl2_unvalidated_resume;
+          Alcotest.test_case "seeded: fine early read release" `Quick
+            test_seeded_fine_early_read_release;
         ] );
     ]
