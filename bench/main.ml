@@ -87,8 +87,9 @@ let () =
     settings.scale_name settings.duration
     (String.concat "," (List.map string_of_int settings.threads));
   Printf.printf
-    "(single-CPU containers time-slice domains: expect contention effects, \
-     not parallel speedup)\n%!";
+    "host_cores=%d: more domains than that time-slice, so expect \
+     contention effects there, not parallel speedup\n%!"
+    (Domain.recommended_domain_count ());
   List.iter (fun name -> (List.assoc name experiments) settings) selected;
   match !csv_path with
   | None -> ()

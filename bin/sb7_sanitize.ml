@@ -1,28 +1,19 @@
 (* sb7-sanitize: run the benchmark under the opacity + lockset
    sanitizer (lib/sanitize) and gate on the verdict.
 
-   Two commands:
+   - [check]: every registered strategy gets a sanitized run; any
+     finding, footprint escapes included, fails the command (exit 1)
+     and dumps the offending trace for offline inspection. The seq
+     runtime has no synchronization at all, so it is only meaningful —
+     and only run — single-threaded.
 
-   - [check]: every registered strategy gets a sanitized run, whose
-     trace is also replayed against the static footprint table; any
-     finding or footprint escape fails the command (exit 1) and dumps
-     the offending trace for offline inspection. The seq runtime has no
-     synchronization at all, so it is only meaningful — and only run —
-     single-threaded.
+   - [seeded FIXTURE]: arm one planted bug of the fixture table
+     (Sb7_harness.Fixture) and demand that its verdict category flags
+     it. A seeded run that comes back clean fails the command: the
+     sanitizer did not bite.
 
-   - [seeded FIXTURE]: enable one deliberately planted bug
-     (tl2-no-validation: TL2 commits and extends without validating its
-     read set; tl2-unvalidated-resume: a partial abort salvages its
-     checkpoint prefix without validating it; norec-skip-revalidation:
-     NOrec adopts new sequence numbers and commits without its
-     value-based validation pass; medium-drop-lock: the medium runtime
-     silently skips its first write lock; fine-early-read-release: the
-     fine runtime drops each read lock as soon as it takes it) and
-     demand that the checker flags it. A seeded
-     run that comes back clean fails the command: the sanitizer did not
-     bite. Detection is probabilistic — the bug needs an actual
-     interleaving — so the run is retried with doubled duration a few
-     times before giving up.
+   - [footprint TRACE]: replay a saved trace against the static
+     footprint table.
 
    Before running anything, the lock-order table the dynamic checker
    uses is cross-checked against the R3 declaration sb7-lint enforces
@@ -30,7 +21,7 @@
    drift apart. *)
 
 module B = Sb7_harness.Benchmark
-module Workload = Sb7_harness.Workload
+module Fixture = Sb7_harness.Fixture
 module Checker = Sb7_sanitize.Checker
 module Trace = Sb7_sanitize.Trace
 
@@ -71,12 +62,13 @@ let cross_check_lock_order () =
 
 (* --- Shared run plumbing ------------------------------------------- *)
 
-let config ~threads ~length ~scale:(scale_name, scale) ~seed ~workload =
+(* The workload of [check]; a fixture runs its own. *)
+let config ~threads ~length ~scale:(scale_name, scale) ~seed =
   {
     B.default_config with
     B.threads;
     duration_s = length;
-    workload;
+    workload = Sb7_harness.Workload.Read_write;
     scale;
     scale_name;
     seed;
@@ -92,29 +84,6 @@ let save_trace ~dir ~name =
   Trace.save path (Trace.dump ());
   path
 
-(* Analyze whatever the trace buffers currently hold; used when a
-   seeded bug is violent enough to crash the run before Benchmark could
-   produce its verdict. *)
-let analyze_current runtime_name =
-  Trace.disable ();
-  Checker.analyze
-    ~profile:(Checker.profile_of_runtime runtime_name)
-    (Trace.dump ())
-
-(* The static footprint table and region naming, in the shape the
-   checker's replay consumes. Going through Sb7_core.Op_footprint.masks
-   keeps the CLI and the generated table on one definition of
-   "may-footprint". *)
-let fp_table = Sb7_core.Op_footprint.masks
-
-let fp_region_name code =
-  match Sb7_runtime.Region.of_int code with
-  | Some r -> Sb7_runtime.Region.to_string r
-  | None -> Printf.sprintf "region#%d" code
-
-let fp_check dump =
-  Checker.footprint ~table:fp_table ~region_name:fp_region_name dump
-
 (* --- check: all honest strategies must come back clean ------------- *)
 
 let check threads length scale seed dir =
@@ -125,9 +94,7 @@ let check threads length scale seed dir =
       (* seq provides no synchronization: concurrent domains would race
          by design, so it is validated single-threaded only. *)
       let threads = if String.equal name "seq" then 1 else threads in
-      let cfg =
-        config ~threads ~length ~scale ~seed ~workload:Workload.Read_write
-      in
+      let cfg = config ~threads ~length ~scale ~seed in
       match Sb7_harness.Driver.run ~runtime_name:name cfg with
       | Error e ->
         Format.printf "%-8s ERROR %s@." name e;
@@ -137,95 +104,30 @@ let check threads length scale seed dir =
         | None ->
           Format.printf "%-8s ERROR sanitizer produced no verdict@." name;
           failed := true
+        | Some v when Checker.clean v ->
+          Format.printf
+            "%-8s clean  (%d domains, %d attempts, %d events, %d accesses \
+             footprint-checked)@."
+            name v.Checker.domains v.Checker.attempts v.Checker.events
+            v.Checker.footprint.checked
         | Some v ->
-          (* The verdict's trace is still in the buffers, region notes
-             included: replay it against the footprint table too. *)
-          let fp = fp_check (Trace.dump ()) in
-          if Checker.clean v && Checker.fp_clean fp then
-            Format.printf "%-8s clean  (%d domains, %d attempts, %d events)@."
-              name v.Checker.domains v.Checker.attempts v.Checker.events
-          else begin
-            let path = save_trace ~dir ~name in
-            Format.printf "%-8s FLAGGED (trace saved to %s)@.%s%s@." name path
-              (Checker.summary v) (Checker.fp_summary fp);
-            failed := true
-          end))
+          let path = save_trace ~dir ~name in
+          Format.printf "%-8s FLAGGED (trace saved to %s)@.%s@." name path
+            (Checker.summary v);
+          failed := true))
     Sb7_runtime.Registry.all;
   if !failed then 1 else 0
 
 (* --- seeded: a planted bug must be flagged ------------------------- *)
 
-type fixture = {
-  fx_name : string;
-  fx_runtime : string;
-  fx_arm : unit -> unit;
-  fx_disarm : unit -> unit;
-  fx_expected : Checker.verdict -> string list;
-      (* the finding category this bug must show up in *)
-  fx_expected_name : string;
-}
-
-let fixtures =
-  [
-    {
-      fx_name = "tl2-no-validation";
-      fx_runtime = "tl2";
-      fx_arm = Sb7_stm.Tl2.Unsafe.disable_validation;
-      fx_disarm = Sb7_stm.Tl2.Unsafe.reset;
-      fx_expected = (fun v -> v.Checker.opacity);
-      fx_expected_name = "opacity";
-    };
-    {
-      (* Partial-abort shortcut: rollback to the newest checkpoint
-         without validating the salvaged read-set prefix. The resumed
-         attempt can then straddle a concurrent commit — re-reads after
-         the resume observe newer versions than the salvaged prefix
-         did, which the checker reports as non-repeatable reads. *)
-      fx_name = "tl2-unvalidated-resume";
-      fx_runtime = "tl2";
-      fx_arm = Sb7_stm.Tl2.Unsafe.disable_resume_validation;
-      fx_disarm = Sb7_stm.Tl2.Unsafe.reset;
-      fx_expected = (fun v -> v.Checker.opacity);
-      fx_expected_name = "opacity";
-    };
-    {
-      (* NOrec with value-based revalidation skipped: reads adopt the
-         current global sequence number without checking that every
-         previously read location still holds the value observed, and
-         commits publish without the closing validation pass. A
-         transaction straddling a concurrent commit then mixes
-         snapshots, which the checker reports as non-repeatable reads. *)
-      fx_name = "norec-skip-revalidation";
-      fx_runtime = "norec";
-      fx_arm = Sb7_stm.Norec.Unsafe.disable_revalidation;
-      fx_disarm = Sb7_stm.Norec.Unsafe.reset;
-      fx_expected = (fun v -> v.Checker.opacity);
-      fx_expected_name = "opacity";
-    };
-    {
-      fx_name = "medium-drop-lock";
-      fx_runtime = "medium";
-      fx_arm = Sb7_runtime.Medium_runtime.Unsafe.drop_first_write_lock;
-      fx_disarm = Sb7_runtime.Medium_runtime.Unsafe.reset;
-      fx_expected = (fun v -> v.Checker.races);
-      fx_expected_name = "lockset race";
-    };
-    {
-      fx_name = "fine-early-read-release";
-      fx_runtime = "fine";
-      fx_arm = Sb7_runtime.Fine_runtime.Unsafe.release_reads_early;
-      fx_disarm = Sb7_runtime.Fine_runtime.Unsafe.reset;
-      fx_expected = (fun v -> v.Checker.races);
-      fx_expected_name = "lockset race";
-    };
-  ]
-
 let fixture_names =
-  String.concat " | " (List.map (fun f -> f.fx_name) fixtures)
+  String.concat " | " (List.map (fun f -> f.Fixture.name) Fixture.all)
 
 let fixture_conv =
   let parse s =
-    match List.find_opt (fun f -> String.equal f.fx_name s) fixtures with
+    match
+      List.find_opt (fun f -> String.equal f.Fixture.name s) Fixture.all
+    with
     | Some f -> Ok f
     | None ->
       Error
@@ -234,152 +136,46 @@ let fixture_conv =
               fixture_names))
   in
   Arg.conv ~docv:"FIXTURE"
-    (parse, fun ppf f -> Format.pp_print_string ppf f.fx_name)
+    (parse, fun ppf f -> Format.pp_print_string ppf f.Fixture.name)
 
-let seeded fixture threads length scale seed dir =
+let seeded (fixture : Fixture.t) threads length scale seed dir =
   cross_check_lock_order ();
-  let attempts = 3 in
-  let rec go i length =
-    fixture.fx_arm ();
-    let cfg =
-      config ~threads ~length ~scale ~seed:(seed + i)
-        ~workload:Workload.Write_dominated
-    in
-    let verdict =
-      match Sb7_harness.Driver.run ~runtime_name:fixture.fx_runtime cfg with
-      | Ok result -> result.Sb7_harness.Run_result.sanitizer
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 2
-      | exception exn ->
-        (* The corrupted structure blew up mid-run; the trace up to the
-           crash is still analyzable, and the crash corroborates the
-           planted bug rather than excusing a missed detection. *)
-        Format.printf "run crashed (%s); analyzing partial trace@."
-          (Printexc.to_string exn);
-        Some (analyze_current fixture.fx_runtime)
-    in
-    fixture.fx_disarm ();
-    match verdict with
-    | None ->
-      Format.eprintf "error: sanitizer produced no verdict@.";
-      exit 2
-    | Some v -> (
-      match fixture.fx_expected v with
-      | finding :: _ ->
-        Format.printf "%s: detected (%s finding, attempt %d/%d)@.  %s@."
-          fixture.fx_name fixture.fx_expected_name i attempts finding;
-        0
-      | [] ->
-        if not (Checker.clean v) then
-          (* flagged, just not in the expected category: print and keep
-             trying — the planted bug has a characteristic signature
-             and the fixture must prove THAT detector bites *)
-          Format.printf
-            "attempt %d/%d: findings in other categories only@.%s@." i
-            attempts (Checker.summary v)
-        else Format.printf "attempt %d/%d: came back clean@." i attempts;
-        if i < attempts then go (i + 1) (length *. 2.)
-        else begin
-          let path = save_trace ~dir ~name:fixture.fx_name in
-          Format.printf
-            "%s: NOT DETECTED after %d attempts — the sanitizer failed to \
-             bite (last trace saved to %s)@.%s@."
-            fixture.fx_name attempts path (Checker.summary v);
-          1
-        end)
+  let attempt, v =
+    Fixture.detect (config ~threads ~length ~scale ~seed) fixture
   in
-  go 1 length
+  let category = Fixture.category_name fixture.expect in
+  match Fixture.findings fixture.expect v with
+  | finding :: _ ->
+    Format.printf "%s: detected (%s finding, attempt %d/%d)@.  %s@."
+      fixture.name category attempt Fixture.attempts finding;
+    0
+  | [] ->
+    let path = save_trace ~dir ~name:fixture.name in
+    Format.printf
+      "%s: NOT DETECTED after %d attempts: no %s finding, the sanitizer \
+       failed to bite (last trace saved to %s)@.%s@."
+      fixture.name attempt category path (Checker.summary v);
+    1
 
-(* --- footprint: trace replay vs the static footprint table --------- *)
+(* --- footprint: replay a saved trace against the static table ------ *)
 
-let fp_replay what dump =
-  let v = fp_check dump in
-  Format.printf "%-8s %s@." what
-    (if Checker.fp_clean v then
-       Printf.sprintf "clean  (%d domains, %d attempts, %d accesses checked)"
-         v.Checker.fp_domains v.Checker.fp_attempts v.Checker.fp_checked
-     else "ESCAPES");
-  if not (Checker.fp_clean v) then
-    Format.printf "%s@." (Checker.fp_summary v);
-  v
-
-(* Replay a saved trace file. *)
-let footprint_trace path =
+let footprint path =
   if not (Sys.file_exists path) then begin
     Format.eprintf "error: no such trace file %s@." path;
     exit 2
   end;
-  let v = fp_replay (Filename.basename path) (Trace.load path) in
-  if Checker.fp_clean v then 0 else 1
-
-(* Seeded escapes: arm one of the harness's planted out-of-region
-   accesses and demand the replay reports it. The injection fires on
-   every execution of its operation, so detection only requires the op
-   to be sampled at all — retried with doubled duration for tiny runs. *)
-type fp_fixture = { fpx_name : string; fpx_arm : unit -> unit }
-
-let fp_fixtures =
-  [
-    { fpx_name = "read-escape"; fpx_arm = B.Unsafe.read_escape };
-    { fpx_name = "write-escape"; fpx_arm = B.Unsafe.write_escape };
-  ]
-
-let fp_fixture_conv =
-  let parse s =
-    match List.find_opt (fun f -> String.equal f.fpx_name s) fp_fixtures with
-    | Some f -> Ok f
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown footprint fixture %S (expected %s)" s
-              (String.concat " | " (List.map (fun f -> f.fpx_name) fp_fixtures))))
+  let fp =
+    Checker.footprint ~table:Sb7_core.Op_footprint.masks (Trace.load path)
   in
-  Arg.conv ~docv:"FIXTURE"
-    (parse, fun ppf f -> Format.pp_print_string ppf f.fpx_name)
-
-let footprint_seeded fixture threads length scale seed dir =
-  let attempts = 3 in
-  let runtime_name = "tl2" in
-  let rec go i length =
-    fixture.fpx_arm ();
-    let cfg =
-      config ~threads ~length ~scale ~seed:(seed + i)
-        ~workload:Workload.Read_write
-    in
-    let outcome =
-      match Sb7_harness.Driver.run ~runtime_name cfg with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 2
-      | Ok _ -> fp_replay fixture.fpx_name (Trace.dump ())
-    in
-    B.Unsafe.reset ();
-    if outcome.Checker.fp_escape_count > 0 then begin
-      Format.printf "%s: detected (attempt %d/%d)@." fixture.fpx_name i
-        attempts;
-      0
-    end
-    else if i < attempts then go (i + 1) (length *. 2.)
-    else begin
-      let path = save_trace ~dir ~name:("footprint-" ^ fixture.fpx_name) in
-      Format.printf
-        "%s: NOT DETECTED after %d attempts — the footprint replay failed \
-         to bite (last trace saved to %s)@."
-        fixture.fpx_name attempts path;
-      1
-    end
-  in
-  go 1 length
-
-let footprint trace seeded threads length scale seed dir =
-  match (trace, seeded) with
-  | Some path, None -> footprint_trace path
-  | None, Some fixture -> footprint_seeded fixture threads length scale seed dir
-  | _ ->
-    Format.eprintf
-      "error: give either TRACE or --seeded (check replays every run)@.";
-    exit 2
+  let escapes = fp.Checker.read_escapes @ fp.Checker.write_escapes in
+  Format.printf
+    "%s: %d accesses checked (%d unknown-region, %d unknown-op), %s@."
+    (Filename.basename path) fp.Checker.checked fp.Checker.unknown_region
+    fp.Checker.unknown_op
+    (if escapes = [] then "clean"
+     else Printf.sprintf "%d escape(s)" (List.length escapes));
+  List.iter (Format.printf "    - %s@.") escapes;
+  if escapes = [] then 0 else 1
 
 (* --- Seeded domain race (R7 static/dynamic cross-check) ------------ *)
 
@@ -529,8 +325,8 @@ let dir_arg =
 
 let check_cmd =
   let doc =
-    "Sanitized run of every registered strategy, replayed against the \
-     static footprint table too; any finding or escape fails."
+    "Sanitized run of every registered strategy, its trace replayed \
+     against the static footprint table too; any finding fails."
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
@@ -538,9 +334,15 @@ let check_cmd =
 
 let seeded_cmd =
   let doc = "Plant a known bug and demand the sanitizer flags it." in
+  let fixture_doc =
+    String.concat ", "
+      (List.map
+         (fun f -> Printf.sprintf "$(b,%s) (%s)" f.Fixture.name f.Fixture.bug)
+         Fixture.all)
+  in
   let fixture_arg =
     Arg.(required & pos 0 (some fixture_conv) None
-         & info [] ~docv:"FIXTURE" ~doc:fixture_names)
+         & info [] ~docv:"FIXTURE" ~doc:fixture_doc)
   in
   Cmd.v (Cmd.info "seeded" ~doc)
     Term.(
@@ -549,25 +351,16 @@ let seeded_cmd =
 
 let footprint_cmd =
   let doc =
-    "Replay a trace against the static footprint table \
+    "Replay a saved trace against the static footprint table \
      (lib/core/op_footprint.ml): every tvar access must fall inside its \
-     operation's inferred may-read / may-write region set. $(b,check) \
-     replays every registered runtime's run."
+     operation's inferred may-read / may-write region set. Every \
+     sanitized run already replays its own trace."
   in
   let trace_arg =
-    Arg.(value & pos 0 (some string) None
+    Arg.(required & pos 0 (some string) None
          & info [] ~docv:"TRACE" ~doc:"Saved trace file to replay.")
   in
-  let seeded_arg =
-    Arg.(value & opt (some fp_fixture_conv) None
-         & info [ "seeded" ] ~docv:"read-escape|write-escape"
-             ~doc:"Plant an out-of-region access and demand the replay \
-                   reports it.")
-  in
-  Cmd.v (Cmd.info "footprint" ~doc)
-    Term.(
-      const footprint $ trace_arg $ seeded_arg $ threads_arg $ length_arg
-      $ scale_arg $ seed_arg $ dir_arg)
+  Cmd.v (Cmd.info "footprint" ~doc) Term.(const footprint $ trace_arg)
 
 let domain_race_cmd =
   let doc =

@@ -143,11 +143,11 @@ let minor_heap =
 
 let sanitize =
   Arg.(value & flag & info [ "sanitize" ]
-         ~doc:"Run under the opacity + lockset sanitizer: record event \
-               traces during the measured window, check them, and print \
-               the verdict (see docs/SANITIZER.md). Expect tracing \
-               overhead; throughput numbers are not comparable to \
-               unsanitized runs.")
+         ~doc:"Run under the sanitizer: record event traces during the \
+               measured window, check them for opacity, lockset, \
+               structural and footprint findings, and print the verdict \
+               (see docs/SANITIZER.md). Expect tracing overhead; \
+               throughput numbers are not comparable to unsanitized runs.")
 
 let run threads length workload strategy no_traversals no_sms histograms
     reduced (scale_name, scale) index_kind seed max_ops cm mix only_op

@@ -10,7 +10,7 @@
     the manual — deliberately coarser than [Op_profile.domain] (which
     splits assemblies per level) so that a region can be attributed to
     every tvar at creation time by [Region_ctx] and cross-checked
-    dynamically by [sb7-sanitize footprint].
+    dynamically by the sanitizer's footprint replay.
 
     The inference extends R4's value-granular reference graph:
 

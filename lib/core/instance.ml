@@ -19,5 +19,4 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   module Operation = Operation.Make (R)
   module Invariants = Invariants.Make (R)
   module Structure_stats = Structure_stats.Make (R)
-  module Structure_dot = Structure_dot.Make (R)
 end

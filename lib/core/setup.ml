@@ -14,8 +14,8 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
 
   (* Every constructor below brackets its tvar allocations with the
      abstract region the object belongs to, so the sanitizer's
-     instrumented runtime can record a region per tvar and the
-     [sb7-sanitize footprint] replay can cross-check accesses against
+     instrumented runtime can record a region per tvar and its
+     footprint replay can cross-check accesses against
      the static footprint table. See Sb7_runtime.Region_ctx. *)
   let in_region r f = Sb7_runtime.Region_ctx.with_region r f
 

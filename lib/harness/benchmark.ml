@@ -49,14 +49,14 @@ type config = {
           GC-pressure columns stay interpretable. *)
 }
 
-(* Seeded footprint-escape bugs for `sb7-sanitize footprint --seeded`:
-   when armed, the worker injects one out-of-region access into every
-   execution of a chosen operation — a read of the manual's text during
-   OP2 (whose static may-read set is {indexes, atomic-parts}) or a
-   rewrite of it during OP9 (may-write {atomic-parts}). The injection
-   lives here in the harness, outside the sync-free core the footprint
-   analysis scans, so the static table stays honest and the dynamic
-   replay must catch the divergence on its own. *)
+(* Seeded footprint-escape bugs for the {!Fixture} table: when armed,
+   the worker injects one out-of-region access into every execution of
+   a chosen operation — a read of the manual's text during OP2 (whose
+   static may-read set is {indexes, atomic-parts}) or a write of it
+   during OP9 (may-write {atomic-parts}). The injection lives here in
+   the harness, outside the sync-free core the footprint analysis
+   scans, so the static table stays honest and the dynamic replay must
+   catch the divergence on its own. *)
 module Unsafe = struct
   let escape_read = ref false
   let escape_write = ref false
@@ -89,6 +89,16 @@ let default_config =
     sanitize = false;
     minor_heap = None;
   }
+
+(* The verdict on whatever the trace buffers hold: the checker's
+   analyses plus the replay against the static footprint table. *)
+let trace_verdict runtime_name =
+  let module Checker = Sb7_sanitize.Checker in
+  Sb7_sanitize.Trace.disable ();
+  let dump = Sb7_sanitize.Trace.dump () in
+  Checker.with_footprint
+    (Checker.analyze ~profile:(Checker.profile_of_runtime runtime_name) dump)
+    (Checker.footprint ~table:Sb7_core.Op_footprint.masks dump)
 
 let apply_minor_heap = function
   | None -> ()
@@ -355,10 +365,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       match pre_cardinalities with
       | None -> None
       | Some pre ->
-        Sb7_sanitize.Trace.disable ();
-        let dump = Sb7_sanitize.Trace.dump () in
-        let profile = Sb7_sanitize.Checker.profile_of_runtime R.name in
-        let verdict = Sb7_sanitize.Checker.analyze ~profile dump in
+        let verdict = trace_verdict R.name in
         let structural =
           structural_sweep ~verdict ~pre
             ~successes:(Stats.total_successes stats)

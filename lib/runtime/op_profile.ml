@@ -48,6 +48,7 @@ type t = {
       (** inferred pure-read verdict from the generated
           [Sb7_core.Op_footprint] table; when present it overrides the
           hand-declared [writes] for read-only dispatch *)
+  plan : (domain * [ `Read | `Write ]) list;  (** see {!locking_plan} *)
 }
 
 let assembly_levels lo hi =
@@ -56,8 +57,33 @@ let assembly_levels lo hi =
 
 let all_assembly_levels = assembly_levels 1 max_assembly_levels
 
+(* Domains with the mode they must be locked in, sorted in canonical
+   acquisition order. Write mode wins when a domain appears in both
+   lists. Structural operations get no domain locks: the exclusive
+   structure lock already isolates them (the paper: "indexes, sets and
+   bags do not have to be synchronized separately"). *)
+let plan_of ~reads ~writes ~structural =
+  if structural then []
+  else begin
+    let tbl = Hashtbl.create 16 in
+    List.iter (fun d -> Hashtbl.replace tbl (domain_rank d) (d, `Read)) reads;
+    List.iter (fun d -> Hashtbl.replace tbl (domain_rank d) (d, `Write)) writes;
+    Hashtbl.fold (fun rank dm acc -> (rank, dm) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  end
+
+(* The plan is computed here, once per profile, because the medium
+   runtime reads it on every operation. *)
 let make ~name ?(reads = []) ?(writes = []) ?(structural = false) ?ro () =
-  { op_name = name; reads; writes; structural; ro_hint = ro }
+  {
+    op_name = name;
+    reads;
+    writes;
+    structural;
+    ro_hint = ro;
+    plan = plan_of ~reads ~writes ~structural;
+  }
 
 (* Read-only dispatch is profile-directed (the zero-log / snapshot
    fast paths of the STM runtimes key on this). The statically inferred
@@ -72,23 +98,7 @@ let read_only t =
   | Some ro -> ro
   | None -> t.writes = []
 
-(** Domains with the mode they must be locked in, sorted in canonical
-    acquisition order. Write mode wins when a domain appears in both
-    lists. Structural operations return no domain locks: the exclusive
-    structure lock already isolates them (the paper: "indexes, sets and
-    bags do not have to be synchronized separately"). *)
-let locking_plan t : (domain * [ `Read | `Write ]) list =
-  if t.structural then []
-  else begin
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun d -> Hashtbl.replace tbl (domain_rank d) (d, `Read)) t.reads;
-    List.iter
-      (fun d -> Hashtbl.replace tbl (domain_rank d) (d, `Write))
-      t.writes;
-    Hashtbl.fold (fun rank dm acc -> (rank, dm) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  end
+let locking_plan t = t.plan
 
 let pp ppf t =
   let doms l = String.concat "," (List.map domain_to_string l) in

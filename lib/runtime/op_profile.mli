@@ -36,6 +36,8 @@ type t = {
       (** inferred pure-read verdict from the generated
           [Sb7_core.Op_footprint] table; when present it overrides the
           hand-declared [writes] for read-only dispatch *)
+  plan : (domain * [ `Read | `Write ]) list;
+      (** {!locking_plan}, computed once by {!make} *)
 }
 
 (** [assembly_levels lo hi] — the domains for levels [lo..hi]. *)
@@ -59,7 +61,8 @@ val read_only : t -> bool
 
 (** Domains with their lock modes, deduplicated (write wins), sorted in
     canonical acquisition order. Empty for structural operations: the
-    exclusive structure lock already isolates them. *)
+    exclusive structure lock already isolates them. Computed once, by
+    {!make}. *)
 val locking_plan : t -> (domain * [ `Read | `Write ]) list
 
 val pp : Format.formatter -> t -> unit

@@ -44,6 +44,14 @@ let profile_of_runtime = function
   | _ (* seq and unknowns *) ->
     { rollback_on_failure = false; lockset = false; ranked_locks = [] }
 
+type footprint = {
+  checked : int;
+  unknown_region : int;
+  unknown_op : int;
+  read_escapes : string list;
+  write_escapes : string list;
+}
+
 type verdict = {
   domains : int;
   events : int;
@@ -56,12 +64,15 @@ type verdict = {
   races : string list;
   lock_order : string list;
   structural : string list;
+  footprint : footprint;
 }
 
 let with_structural v findings = { v with structural = v.structural @ findings }
+let with_footprint v footprint = { v with footprint }
 
 let clean v =
   v.opacity = [] && v.races = [] && v.lock_order = [] && v.structural = []
+  && v.footprint.read_escapes = [] && v.footprint.write_escapes = []
 
 (* Findings are capped per category so a badly broken run produces a
    readable report, with the overflow counted. *)
@@ -673,6 +684,14 @@ let analyze ~profile (dump : Trace.dump) =
     races = close_findings races;
     lock_order = close_findings order;
     structural = [];
+    footprint =
+      {
+        checked = 0;
+        unknown_region = 0;
+        unknown_op = 0;
+        read_escapes = [];
+        write_escapes = [];
+      };
   }
 
 let summary v =
@@ -683,26 +702,36 @@ let summary v =
         aborted, %d rolled back, %d structural commits)\n"
        v.domains v.events v.attempts v.committed v.aborted v.rolled_back
        v.structural_commits);
-  let section name msgs =
+  let section ?(note = "") name msgs =
     Buffer.add_string b
-      (Printf.sprintf "  %-12s %s\n" (name ^ ":")
+      (Printf.sprintf "  %-12s %s%s\n" (name ^ ":")
          (if msgs = [] then "clean"
-          else Printf.sprintf "%d finding(s)" (List.length msgs)));
+          else Printf.sprintf "%d finding(s)" (List.length msgs))
+         note);
     List.iter (fun m -> Buffer.add_string b (Printf.sprintf "    - %s\n" m)) msgs
   in
   section "opacity" v.opacity;
   section "races" v.races;
   section "lock-order" v.lock_order;
   section "structural" v.structural;
+  let fp = v.footprint in
+  section "footprint"
+    (fp.read_escapes @ fp.write_escapes)
+    ~note:
+      (Printf.sprintf " (%d accesses checked, %d unknown-region, %d unknown-op)"
+         fp.checked fp.unknown_region fp.unknown_op);
   Buffer.contents b
 
 let csv_cell v =
   if clean v then "clean"
   else
-    Printf.sprintf "flagged;opacity=%d;races=%d;order=%d;structural=%d"
+    Printf.sprintf
+      "flagged;opacity=%d;races=%d;order=%d;structural=%d;footprint=%d"
       (List.length v.opacity) (List.length v.races)
       (List.length v.lock_order)
       (List.length v.structural)
+      (List.length v.footprint.read_escapes
+      + List.length v.footprint.write_escapes)
 
 (* ---- Footprint replay: every traced tvar access must fall inside the
    operation's static may-footprint (lib/core/op_footprint.ml). The
@@ -710,21 +739,12 @@ let csv_cell v =
    mask) over Region.to_int bit positions — so this module stays free
    of a dependency on the core. ---------------------------------------- *)
 
-type fp_verdict = {
-  fp_domains : int;
-  fp_attempts : int;
-  fp_checked : int;  (** accesses with a known region and operation *)
-  fp_unknown_region : int;  (** accesses to tvars with no region note *)
-  fp_unknown_op : int;
-      (** accesses inside attempts whose operation is not in the table
-          (or whose begin predates op tagging) *)
-  fp_escape_count : int;
-  fp_escapes : string list;  (** deduplicated per (op, region, kind) *)
-}
+let region_name code =
+  match Sb7_runtime.Region.of_int code with
+  | Some r -> Sb7_runtime.Region.to_string r
+  | None -> Printf.sprintf "region#%d" code
 
-let fp_clean v = v.fp_escape_count = 0
-
-let footprint ~table ~region_name (dump : Trace.dump) =
+let footprint ~table (dump : Trace.dump) =
   let op_names = Hashtbl.create 64 in
   List.iter (fun (id, name) -> Hashtbl.add op_names id name) dump.Trace.ops;
   let sid_region = Hashtbl.create 4096 in
@@ -732,19 +752,17 @@ let footprint ~table ~region_name (dump : Trace.dump) =
     (fun (sid, region) ->
       if region >= 0 then Hashtbl.replace sid_region sid region)
     dump.Trace.regions;
-  let attempts = ref 0 in
   let checked = ref 0 in
   let unknown_region = ref 0 in
   let unknown_op = ref 0 in
-  let escape_count = ref 0 in
-  let escapes = new_findings () in
+  let read_escapes = new_findings () and write_escapes = new_findings () in
   let seen : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 16 in
   let escape ~op ~region ~write ~sid =
-    incr escape_count;
     let key = (op, region, write) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      add_finding escapes
+      add_finding
+        (if write then write_escapes else read_escapes)
         (Printf.sprintf
            "footprint escape: operation %s %s tvar %d in region %s, \
             outside its static may-%s set"
@@ -763,8 +781,7 @@ let footprint ~table ~region_name (dump : Trace.dump) =
       let n = Array.length stream in
       while !i < n do
         let tag = stream.(!i) in
-        (if tag = Trace.tag_begin then begin
-           incr attempts;
+        (if tag = Trace.tag_begin then
            cur :=
              (match Hashtbl.find_opt op_names stream.(!i + 3) with
              | None -> None
@@ -772,7 +789,6 @@ let footprint ~table ~region_name (dump : Trace.dump) =
                match table name with
                | None -> None
                | Some (rmask, wmask) -> Some (name, rmask, wmask)))
-         end
          else if tag = Trace.tag_read || tag = Trace.tag_write then begin
            let write = tag = Trace.tag_write in
            match !cur with
@@ -791,24 +807,9 @@ let footprint ~table ~region_name (dump : Trace.dump) =
       done)
     dump.Trace.streams;
   {
-    fp_domains = Array.length dump.Trace.streams;
-    fp_attempts = !attempts;
-    fp_checked = !checked;
-    fp_unknown_region = !unknown_region;
-    fp_unknown_op = !unknown_op;
-    fp_escape_count = !escape_count;
-    fp_escapes = close_findings escapes;
+    checked = !checked;
+    unknown_region = !unknown_region;
+    unknown_op = !unknown_op;
+    read_escapes = close_findings read_escapes;
+    write_escapes = close_findings write_escapes;
   }
-
-let fp_summary v =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "footprint: %d domains, %d attempts, %d accesses checked (%d \
-        unknown-region, %d unknown-op), %d escape(s)\n"
-       v.fp_domains v.fp_attempts v.fp_checked v.fp_unknown_region
-       v.fp_unknown_op v.fp_escape_count);
-  List.iter
-    (fun m -> Buffer.add_string b (Printf.sprintf "    - %s\n" m))
-    v.fp_escapes;
-  Buffer.contents b

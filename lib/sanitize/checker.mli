@@ -15,7 +15,11 @@
       acquisition order of ranked locks is checked against the declared
       lock-order table (the order sb7-lint's R3 enforces statically).
     - {b structural sweep}: performed by the harness (it needs the live
-      structure); its findings are attached with {!with_structural}. *)
+      structure); its findings are attached with {!with_structural}.
+    - {b footprint replay}: every traced access against the statically
+      inferred footprint table (lib/core/op_footprint.ml); the harness
+      replays each sanitized run and attaches the result with
+      {!with_footprint}. *)
 
 type profile = {
   rollback_on_failure : bool;
@@ -32,6 +36,21 @@ type profile = {
     names get the most conservative profile (no rollback, no locks). *)
 val profile_of_runtime : string -> profile
 
+(** The footprint replay's category: every read must fall in its
+    operation's may-read ∪ may-write region set, every write in the
+    may-write set. Tvars without a region note (created outside any
+    [Region_ctx.with_region] bracket) and attempts whose operation the
+    table does not know are counted, not flagged. Escapes are
+    deduplicated per (operation, region). *)
+type footprint = {
+  checked : int;  (** accesses with a known region and operation *)
+  unknown_region : int;  (** accesses to tvars with no region note *)
+  unknown_op : int;
+      (** accesses inside attempts whose operation is not in the table *)
+  read_escapes : string list;  (** reads outside the may-read set *)
+  write_escapes : string list;  (** writes outside the may-write set *)
+}
+
 type verdict = {
   domains : int;
   events : int;
@@ -44,6 +63,7 @@ type verdict = {
   races : string list;
   lock_order : string list;
   structural : string list;
+  footprint : footprint;  (** all zero until {!with_footprint} *)
 }
 
 val analyze : profile:profile -> Trace.dump -> verdict
@@ -51,44 +71,22 @@ val analyze : profile:profile -> Trace.dump -> verdict
 (** Attach the harness's structural-sweep findings. *)
 val with_structural : verdict -> string list -> verdict
 
+(** [footprint ~table dump] replays [dump] against [table], which maps
+    an operation name to its (may-read, may-write) bitmasks over
+    [Region.to_int] bit positions (the reads mask must already include
+    the writes). *)
+val footprint : table:(string -> (int * int) option) -> Trace.dump -> footprint
+
+(** Attach a footprint replay of the verdict's trace. *)
+val with_footprint : verdict -> footprint -> verdict
+
+(** No finding in any category: the one definition of a clean run. *)
 val clean : verdict -> bool
 
-(** Multi-line human report. *)
+(** Multi-line human report, one section per category. *)
 val summary : verdict -> string
 
 (** Single CSV field (no commas): ["off"] is the caller's business;
-    here ["clean"] or ["flagged;opacity=N;races=N;order=N;structural=N"]. *)
+    here ["clean"] or
+    ["flagged;opacity=N;races=N;order=N;structural=N;footprint=N"]. *)
 val csv_cell : verdict -> string
-
-(** {1 Footprint replay}
-
-    Cross-checks a trace against the statically inferred footprint
-    table (lib/core/op_footprint.ml): every read must fall in its
-    operation's may-read ∪ may-write region set, every write in the
-    may-write set. Tvars without a region note (created outside any
-    [Region_ctx.with_region] bracket) and attempts whose operation the
-    table does not know are counted, not flagged. *)
-
-type fp_verdict = {
-  fp_domains : int;
-  fp_attempts : int;
-  fp_checked : int;  (** accesses with a known region and operation *)
-  fp_unknown_region : int;  (** accesses to tvars with no region note *)
-  fp_unknown_op : int;
-      (** accesses inside attempts whose operation is not in the table *)
-  fp_escape_count : int;
-  fp_escapes : string list;  (** deduplicated per (op, region, kind) *)
-}
-
-(** [footprint ~table ~region_name dump] — [table] maps an operation
-    name to its (may-read, may-write) bitmasks over [Region.to_int]
-    bit positions (reads mask must already include writes);
-    [region_name] renders a region code for messages. *)
-val footprint :
-  table:(string -> (int * int) option) ->
-  region_name:(int -> string) ->
-  Trace.dump ->
-  fp_verdict
-
-val fp_clean : fp_verdict -> bool
-val fp_summary : fp_verdict -> string

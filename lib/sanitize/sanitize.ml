@@ -40,7 +40,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   let make v =
     let wid = if !Trace.on then Trace.next_wid () else 0 in
     let sid = Sb7_stm.Tvar_id.fresh sids in
-    (* Region notes feed the [sb7-sanitize footprint] replay; recorded
+    (* Region notes feed the footprint replay; recorded
        unconditionally (setup runs with tracing off but its tvars live
        through every traced phase). *)
     Trace.note_region ~sid ~region:(Sb7_runtime.Region_ctx.current_code ());

@@ -44,9 +44,8 @@ let contains s sub =
   n = 0 || at 0
 
 let check_clean what v =
-  Alcotest.(check bool)
-    (what ^ " comes back clean")
-    true (Checker.clean v)
+  if not (Checker.clean v) then
+    Alcotest.failf "%s is not clean:\n%s" what (Checker.summary v)
 
 let expect ~category ~mentions v =
   let findings =
@@ -518,32 +517,32 @@ let fp_table = function
   | _ -> None
 
 let fp_check ?(ops = [ (1, "OPX") ]) ?(regions = [||]) streams =
-  Checker.footprint ~table:fp_table ~region_name:string_of_int
-    (dump ~ops ~regions streams)
+  Checker.footprint ~table:fp_table (dump ~ops ~regions streams)
 
-let test_fp_clean_stream () =
+let test_replay_clean_stream () =
   let v =
     fp_check
       ~regions:[| (1, 0); (2, 3) |]
       [ [ begin_ ~op:1 10; read_ 1 5; write_ 2 11 5; commit 12 ] ]
   in
-  Alcotest.(check int) "one attempt" 1 v.Checker.fp_attempts;
-  Alcotest.(check int) "both accesses checked" 2 v.Checker.fp_checked;
-  Alcotest.(check bool) "clean" true (Checker.fp_clean v)
+  Alcotest.(check int) "both accesses checked" 2 v.Checker.checked;
+  Alcotest.(check bool) "clean" true
+    (v.Checker.read_escapes = [] && v.Checker.write_escapes = [])
 
-let test_fp_read_escape () =
+let test_replay_read_escape () =
   (* Region 4 is outside OPX's may-read set. *)
   let v =
     fp_check ~regions:[| (1, 4) |] [ [ begin_ ~op:1 10; read_ 1 5; commit 12 ] ]
   in
-  Alcotest.(check int) "one escape" 1 v.Checker.fp_escape_count;
+  Alcotest.(check int) "no write escape" 0
+    (List.length v.Checker.write_escapes);
   Alcotest.(check bool)
     "escape names the op and kind" true
-    (match v.Checker.fp_escapes with
+    (match v.Checker.read_escapes with
     | [ m ] -> contains m "OPX" && contains m "may-read"
     | _ -> false)
 
-let test_fp_write_outside_write_set () =
+let test_replay_write_outside_write_set () =
   (* Region 0 is readable but NOT writable for OPX: a write there must
      be flagged even though a read would pass. *)
   let v =
@@ -551,14 +550,14 @@ let test_fp_write_outside_write_set () =
       ~regions:[| (1, 0) |]
       [ [ begin_ ~op:1 10; write_ 1 11 5; commit 12 ] ]
   in
-  Alcotest.(check int) "one escape" 1 v.Checker.fp_escape_count;
+  Alcotest.(check int) "no read escape" 0 (List.length v.Checker.read_escapes);
   Alcotest.(check bool)
     "flagged as a write escape" true
-    (match v.Checker.fp_escapes with
+    (match v.Checker.write_escapes with
     | [ m ] -> contains m "may-write"
     | _ -> false)
 
-let test_fp_unknowns_counted_not_flagged () =
+let test_replay_unknowns_counted_not_flagged () =
   let v =
     fp_check
       ~regions:[| (1, 0) |]
@@ -569,23 +568,24 @@ let test_fp_unknowns_counted_not_flagged () =
         [ begin_ ~op:7 20; read_ 1 5; commit 22 ];
       ]
   in
-  Alcotest.(check int) "unknown region" 1 v.Checker.fp_unknown_region;
-  Alcotest.(check int) "unknown op" 1 v.Checker.fp_unknown_op;
-  Alcotest.(check int) "nothing checked" 0 v.Checker.fp_checked;
-  Alcotest.(check bool) "clean" true (Checker.fp_clean v)
+  Alcotest.(check int) "unknown region" 1 v.Checker.unknown_region;
+  Alcotest.(check int) "unknown op" 1 v.Checker.unknown_op;
+  Alcotest.(check int) "nothing checked" 0 v.Checker.checked;
+  Alcotest.(check bool) "clean" true
+    (v.Checker.read_escapes = [] && v.Checker.write_escapes = [])
 
-let test_fp_escapes_deduplicated () =
+let test_replay_escapes_deduplicated () =
   let v =
     fp_check
       ~regions:[| (1, 4); (2, 4) |]
       [ [ begin_ ~op:1 10; read_ 1 5; read_ 2 6; commit 12 ] ]
   in
-  (* Every escaping access is counted, but the report collapses to one
-     line per (op, region, kind). *)
-  Alcotest.(check int) "both escapes counted" 2 v.Checker.fp_escape_count;
+  (* Both escaping accesses are checked, but the report collapses to
+     one line per (op, region, kind). *)
+  Alcotest.(check int) "both accesses checked" 2 v.Checker.checked;
   Alcotest.(check int)
     "one deduplicated finding" 1
-    (List.length v.Checker.fp_escapes)
+    (List.length v.Checker.read_escapes)
 
 (* -- End to end: honest run clean, seeded bugs flagged -------------- *)
 
@@ -608,40 +608,12 @@ let sanitized_run ?(config = run_config) runtime_name =
     | None -> Alcotest.fail "sanitized run produced no verdict"
     | Some v -> v)
 
-(* Detection needs a real racy interleaving, so retry a few times with
-   doubled duration before declaring the sanitizer toothless. *)
-let detect ~arm ~disarm ~category runtime_name =
-  Fun.protect ~finally:disarm (fun () ->
-      arm ();
-      let rec go i duration =
-        let v =
-          sanitized_run ~config:{ run_config with B.duration_s = duration }
-            runtime_name
-        in
-        let hit =
-          match category with
-          | `Opacity -> v.Checker.opacity <> []
-          | `Races -> v.Checker.races <> []
-        in
-        if hit then ()
-        else if i >= 4 then
-          Alcotest.failf "seeded bug in %s not detected (%d runs)"
-            runtime_name i
-        else go (i + 1) (duration *. 2.)
-      in
-      go 1 0.2)
-
 (* Property: for every registered runtime, a sanitized quick workload
-   at two domains records attempts, comes back clean, and replays
-   through the static footprint table with zero contradictions — the
-   dynamic trace validates the whole-program inference
+   at two domains records attempts, comes back clean, and its verdict's
+   footprint replay checked accesses with zero contradictions and no
+   unknowns — the dynamic trace validates the whole-program inference
    (docs/FOOTPRINT.md). *)
 let test_footprint_replay_all_runtimes () =
-  let region_name code =
-    match Sb7_runtime.Region.of_int code with
-    | Some r -> Sb7_runtime.Region.to_string r
-    | None -> Printf.sprintf "region#%d" code
-  in
   List.iter
     (fun (name, _) ->
       let config =
@@ -649,51 +621,60 @@ let test_footprint_replay_all_runtimes () =
         else run_config
       in
       let verdict = sanitized_run ~config name in
+      let fp = verdict.Checker.footprint in
       Alcotest.(check bool)
         (name ^ ": attempts recorded")
         true
         (verdict.Checker.attempts > 0);
       check_clean ("honest " ^ name) verdict;
-      let v =
-        Checker.footprint ~table:Sb7_core.Op_footprint.masks ~region_name
-          (Trace.dump ())
-      in
       Alcotest.(check bool)
         (name ^ ": accesses were checked")
-        true
-        (v.Checker.fp_checked > 0);
+        true (fp.Checker.checked > 0);
       Alcotest.(check int) (name ^ ": no unknown regions") 0
-        v.Checker.fp_unknown_region;
-      Alcotest.(check int) (name ^ ": no unknown ops") 0 v.Checker.fp_unknown_op;
-      if not (Checker.fp_clean v) then
-        Alcotest.failf "%s: footprint contradictions:\n%s" name
-          (Checker.fp_summary v))
+        fp.Checker.unknown_region;
+      Alcotest.(check int) (name ^ ": no unknown ops") 0 fp.Checker.unknown_op)
     Sb7_runtime.Registry.all;
   Trace.reset ()
 
-let test_seeded_tl2_no_validation () =
-  detect "tl2" ~category:`Opacity
-    ~arm:Sb7_stm.Tl2.Unsafe.disable_validation
-    ~disarm:Sb7_stm.Tl2.Unsafe.reset
+(* A sanitized run whose trace escapes the footprint table is not
+   clean, and every rendering of its verdict says so. OP2 alone, with
+   the injected read of the manual armed, escapes on every execution. *)
+let test_escape_flags_the_run () =
+  let config =
+    { run_config with B.threads = 1; max_ops = Some 20; only_op = Some "OP2" }
+  in
+  B.Unsafe.read_escape ();
+  let r =
+    Fun.protect ~finally:B.Unsafe.reset (fun () ->
+        match Sb7_harness.Driver.run ~runtime_name:"tl2" config with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e)
+  in
+  let v = Option.get r.Sb7_harness.Run_result.sanitizer in
+  Alcotest.(check bool) "not clean" false (Checker.clean v);
+  Alcotest.(check bool) "a may-read escape" true
+    (v.Checker.footprint.Checker.read_escapes <> []);
+  let shows what text =
+    Alcotest.(check bool)
+      (what ^ " shows the escape")
+      true
+      (contains text "footprint escape: operation OP2 read")
+  in
+  shows "summary" (Checker.summary v);
+  shows "report" (Format.asprintf "%a" Sb7_harness.Report.print r);
+  Alcotest.(check string)
+    "csv cell" "flagged;opacity=0;races=0;order=0;structural=0;footprint=1"
+    (Checker.csv_cell v);
+  Trace.reset ()
 
-let test_seeded_medium_drop_lock () =
-  detect "medium" ~category:`Races
-    ~arm:Sb7_runtime.Medium_runtime.Unsafe.drop_first_write_lock
-    ~disarm:Sb7_runtime.Medium_runtime.Unsafe.reset
-
-let test_seeded_fine_early_read_release () =
-  detect "fine" ~category:`Races
-    ~arm:Sb7_runtime.Fine_runtime.Unsafe.release_reads_early
-    ~disarm:Sb7_runtime.Fine_runtime.Unsafe.reset
-
-(* Partial aborts that resume without validating the salvaged prefix:
-   the resumed attempt straddles the conflicting commit, which the
-   opacity analyses must flag (write-dominated + long traversals so
-   mid-traversal conflicts actually happen). *)
-let test_seeded_tl2_unvalidated_resume () =
-  detect "tl2" ~category:`Opacity
-    ~arm:Sb7_stm.Tl2.Unsafe.disable_resume_validation
-    ~disarm:Sb7_stm.Tl2.Unsafe.reset
+(* Every planted bug of the fixture table is flagged in its category. *)
+let test_seeded (fixture : Sb7_harness.Fixture.t) () =
+  let module F = Sb7_harness.Fixture in
+  let attempt, v = F.detect { run_config with B.duration_s = 0.2 } fixture in
+  if F.findings fixture.expect v = [] then
+    Alcotest.failf "%s: no %s finding after %d runs:\n%s" fixture.name
+      (F.category_name fixture.expect)
+      attempt (Checker.summary v)
 
 let () =
   Alcotest.run "sanitize"
@@ -761,26 +742,24 @@ let () =
         ] );
       ( "footprint",
         [
-          Alcotest.test_case "clean stream" `Quick test_fp_clean_stream;
-          Alcotest.test_case "read escape" `Quick test_fp_read_escape;
+          Alcotest.test_case "clean stream" `Quick test_replay_clean_stream;
+          Alcotest.test_case "read escape" `Quick test_replay_read_escape;
           Alcotest.test_case "write outside write set" `Quick
-            test_fp_write_outside_write_set;
+            test_replay_write_outside_write_set;
           Alcotest.test_case "unknowns counted not flagged" `Quick
-            test_fp_unknowns_counted_not_flagged;
+            test_replay_unknowns_counted_not_flagged;
           Alcotest.test_case "escapes deduplicated" `Quick
-            test_fp_escapes_deduplicated;
+            test_replay_escapes_deduplicated;
         ] );
       ( "end-to-end",
         [
           Alcotest.test_case "footprint replay: all runtimes" `Quick
             test_footprint_replay_all_runtimes;
-          Alcotest.test_case "seeded: tl2 without validation" `Quick
-            test_seeded_tl2_no_validation;
-          Alcotest.test_case "seeded: medium dropped lock" `Quick
-            test_seeded_medium_drop_lock;
-          Alcotest.test_case "seeded: tl2 unvalidated resume" `Quick
-            test_seeded_tl2_unvalidated_resume;
-          Alcotest.test_case "seeded: fine early read release" `Quick
-            test_seeded_fine_early_read_release;
-        ] );
+          Alcotest.test_case "a footprint escape flags the run" `Quick
+            test_escape_flags_the_run;
+        ]
+        @ List.map
+            (fun (f : Sb7_harness.Fixture.t) ->
+              Alcotest.test_case ("seeded: " ^ f.bug) `Quick (test_seeded f))
+            Sb7_harness.Fixture.all );
     ]
