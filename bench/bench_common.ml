@@ -58,13 +58,11 @@ type point_config = {
   index_kind : Sb7_core.Index_intf.kind;
   cm : Sb7_stm.Contention.policy;
   max_ops : int option;
-  dispatch : Sb7_harness.Dispatch.mode;
 }
 
 let point ?(long_traversals = true) ?(structure_mods = true)
     ?(reduced = false) ?(index_kind = Sb7_core.Index_intf.Avl)
-    ?(cm = Sb7_stm.Contention.Polka) ?max_ops
-    ?(dispatch = Sb7_harness.Dispatch.Uniform) ~runtime ~workload ~threads () =
+    ?(cm = Sb7_stm.Contention.Polka) ?max_ops ~runtime ~workload ~threads () =
   {
     runtime;
     workload;
@@ -75,7 +73,6 @@ let point ?(long_traversals = true) ?(structure_mods = true)
     index_kind;
     cm;
     max_ops;
-    dispatch;
   }
 
 (* Every measured point is also collected here so main can dump the
@@ -108,7 +105,6 @@ let run_point (s : settings) (pt : point_config) : RR.t =
       structure_mods = pt.structure_mods;
       reduced_ops = pt.reduced;
       only_op = None;
-      dispatch = pt.dispatch;
       scale = s.scale;
       scale_name = s.scale_name;
       index_kind = pt.index_kind;

@@ -6,7 +6,6 @@
 open Bench_common
 module W = Sb7_harness.Workload
 module RR = Sb7_harness.Run_result
-module D = Sb7_harness.Dispatch
 module Category = Sb7_core.Category
 
 (* --- Table 2: default ratios for operation categories --- *)
@@ -299,10 +298,9 @@ let quick (s : settings) =
     let window = ("duration_s", Fixed (2, duration)) in
     ({ s with duration; warmup }, head @ [ window; ("host_cores", Int cores) ])
   in
-  let run st ?max_ops ?dispatch ?(long_traversals = false) runtime wl threads =
+  let run st ?max_ops ?(long_traversals = false) runtime wl threads =
     run_point st
-      (point ~runtime ~workload:wl ~threads ~long_traversals ?max_ops
-         ?dispatch ())
+      (point ~runtime ~workload:wl ~threads ~long_traversals ?max_ops ())
   in
   let section title ?fields ?(key = "strategies") points row_of =
     Printf.printf "\n%s\n" title;
@@ -423,32 +421,16 @@ let quick (s : settings) =
         ignore (run st rt W.Read_write 2);
         run st rt W.Read_write 2 |> row (runtime rt) cols)
   in
-  (* Uniform vs conflict-aware dispatch on the write-dominated mix at 2
-     domains — the configuration the static conflict matrix targets
-     (docs/FOOTPRINT.md). Duration-based so abort pressure is real. *)
-  let dispatch =
-    let st, fields = timed [ workload "w"; two ] 0.4 0.1 in
-    let pairs = int "conflict_pairs" (fun r -> r.RR.conflict_pairs) in
-    let cols = pairs :: ops_per_s :: commits_aborts @ [ abort_rate ] in
-    section
-      "write-dominated, 2 domains, uniform vs conflict-aware dispatch \
-       (conflict pairs = statically conflicting op pairs runnable \
-       concurrently):"
-      ~fields [ "tl2"; "lsa" ]
-      (grouped "modes" [ D.Uniform; D.Conflict_aware ] (fun rt mode ->
-           run st ~dispatch:mode rt W.Write_dominated 2
-           |> row [ ("dispatch", Str (D.mode_to_string mode)) ] cols))
-  in
   if !write_json then begin
     let path = "BENCH_quick.json" in
     let heap = Option.value s.minor_heap ~default:(Gc.get ()).minor_heap_size in
     let doc =
-      [ ("schema", Str "sb7-bench-quick/7"); ("scale", Str s.scale_name);
+      [ ("schema", Str "sb7-bench-quick/8"); ("scale", Str s.scale_name);
         workload (W.kind_to_string W.Read_write); ("threads", Int 1);
         ("max_ops", Int max_ops); ("seed", Int s.seed);
         ("long_traversals", Bool false); ("minor_heap_words", Int heap);
         ("strategies", strategies); ("ro_read_dominated", ro_read_dominated);
-        ("dispatch", dispatch); ("alloc", alloc); ("scaling", scaling);
+        ("alloc", alloc); ("scaling", scaling);
         ("long_traversals", long_traversals); ("phase_mix", phase_mix) ]
     in
     let field (k, v) = Printf.sprintf "  %S: %s" k (json_to_string 2 v) in

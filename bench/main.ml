@@ -5,8 +5,10 @@
      dune exec bench/main.exe -- fig4         # one experiment
      dune exec bench/main.exe -- --full all   # the paper's scale (slow)
 
-   Experiments: table2 fig3 fig4 table3 fig6 t1-astm ablation-index
-   ablation-cm ablation-stm alloc micro all *)
+   Experiments: table2 fig3 fig4 table3 fig6 t1-astm quick baseline
+   oplat scaling domains ablation-index ablation-cm ablation-stm alloc
+   micro sanitize-overhead all (sanitize-overhead is a pass/fail gate,
+   run only when named) *)
 
 open Bench_common
 

@@ -2,9 +2,10 @@
     dune-generated typed ASTs of the sync-free core.
 
     [gen] emits the contents of lib/core/op_footprint.ml (the committed
-    table consumed by read-only dispatch and conflict-aware
-    scheduling); [matrix] prints the 45x45 operation conflict matrix as
-    text, JSON or Graphviz dot. See docs/FOOTPRINT.md. *)
+    table consumed by read-only dispatch, lint rule R4 and the
+    sanitizer's footprint replay); [matrix] prints the 45x45 operation
+    conflict matrix as text, JSON or Graphviz dot. See
+    docs/FOOTPRINT.md. *)
 
 open Cmdliner
 module F = Sb7_analysis.Footprint
@@ -117,37 +118,14 @@ let emit_table fps =
     \       t)\n\
     \  in\n\
     \  fun code -> Hashtbl.find_opt (Lazy.force tbl) code\n\n\
-     (** May-footprint for reads: an operation may read what it may write. \
-     *)\n\
-     let may_read e = e.fp_reads @ e.fp_writes\n\n\
      let pure_read_of e = e.fp_writes = [] && not e.fp_structural\n\n\
      (** Inferred pure-read verdict, [None] for operations outside the\n\
     \    table (synthetic test profiles fall back to their declaration). *)\n\
      let ro_hint code = Option.map pure_read_of (find code)\n\n\
-     let pure_read code = ro_hint code = Some true\n\n\
      let pure_read_codes =\n\
     \  List.filter_map\n\
     \    (fun e -> if pure_read_of e then Some e.fp_code else None)\n\
     \    table\n\n\
-     (** Strongest static conflict between two operations:\n\
-    \    [`Disjoint] no shared region, [`Read_read] shared regions are\n\
-    \    read on both sides only, [`Read_write] some region written on one\n\
-    \    side and read on the other, [`Write_write] some region written on\n\
-    \    both sides. *)\n\
-     let classify a b =\n\
-    \  let inter xs ys = List.exists (fun x -> List.mem x ys) xs in\n\
-    \  if inter a.fp_writes b.fp_writes then `Write_write\n\
-    \  else if inter a.fp_writes (may_read b) || inter b.fp_writes (may_read \
-     a)\n\
-    \  then `Read_write\n\
-    \  else if inter a.fp_reads b.fp_reads then `Read_read\n\
-    \  else `Disjoint\n\n\
-     (** Can a concurrent execution of the two operations conflict at all\n\
-    \    (some region written on either side is touched by the other)? *)\n\
-     let conflicts a b =\n\
-    \  match classify a b with\n\
-    \  | `Write_write | `Read_write -> true\n\
-    \  | `Read_read | `Disjoint -> false\n\n\
      (** (may-read, may-write) bitmasks over [Region.to_int] bit positions,\n\
     \    in the shape the sanitizer's footprint replay consumes; the read\n\
     \    mask includes the write mask. *)\n\
@@ -294,7 +272,11 @@ let paths_arg =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"PATH" ~doc)
 
 let gen_cmd =
-  let doc = "emit the generated lib/core/op_footprint.ml to stdout" in
+  let doc =
+    "emit lib/core/op_footprint.ml to stdout: the per-operation region \
+     table read by read-only dispatch, lint rule R4 and the sanitizer's \
+     footprint replay"
+  in
   Cmd.v (Cmd.info "gen" ~doc) Term.(const gen $ paths_arg)
 
 let matrix_cmd =
@@ -317,9 +299,10 @@ let cmd =
         "Infers, from the typed AST of the sync-free core, which \
          abstract regions of the OO7 structure (indexes, assemblies, \
          composite parts, atomic-part graphs, documents, manual) each \
-         registered operation may read and write; derives the pairwise \
-         conflict matrix and the table consumed by read-only dispatch \
-         and conflict-aware scheduling (lib/core/op_footprint.ml).";
+         registered operation may read and write; prints the pairwise \
+         conflict matrix and generates the table consumed by read-only \
+         dispatch, lint rule R4 and the sanitizer's footprint replay \
+         (lib/core/op_footprint.ml).";
     ]
   in
   Cmd.group (Cmd.info "sb7_footprint" ~version:"1.0" ~doc ~man)

@@ -111,19 +111,6 @@ let mix =
            ~doc:"Relative category weights (default 5:40:45:10, the \
                  paper's Table 2).")
 
-let dispatch_conv =
-  conv_of_parser ~docv:"uniform|conflict-aware"
-    Sb7_harness.Dispatch.mode_of_string (fun ppf m ->
-      Format.pp_print_string ppf (Sb7_harness.Dispatch.mode_to_string m))
-
-let dispatch =
-  Arg.(value & opt dispatch_conv Sb7_harness.Dispatch.Uniform
-       & info [ "dispatch" ] ~docv:"uniform|conflict-aware"
-           ~doc:"Operation-to-domain dispatch: every worker samples the \
-                 full mix (uniform, the paper's default), or workers get \
-                 disjoint operation groups from the static conflict \
-                 matrix (conflict-aware, see docs/FOOTPRINT.md).")
-
 let warmup =
   Arg.(value & opt float 0. & info [ "warmup" ] ~docv:"SECONDS"
          ~doc:"Discarded run-in before the measured window.")
@@ -151,7 +138,7 @@ let sanitize =
 
 let run threads length workload strategy no_traversals no_sms histograms
     reduced (scale_name, scale) index_kind seed max_ops cm mix only_op
-    dispatch warmup csv_out minor_heap sanitize =
+    warmup csv_out minor_heap sanitize =
   Sb7_stm.Astm.set_policy cm;
   let config =
     {
@@ -165,7 +152,6 @@ let run threads length workload strategy no_traversals no_sms histograms
       structure_mods = not no_sms;
       reduced_ops = reduced;
       only_op;
-      dispatch;
       scale;
       scale_name;
       index_kind;
@@ -204,7 +190,7 @@ let cmd =
     Term.(
       const run $ threads $ length $ workload $ strategy $ no_traversals
       $ no_sms $ histograms $ reduced $ scale $ index_kind $ seed $ max_ops
-      $ contention_manager $ mix $ only_op $ dispatch $ warmup $ csv_out
+      $ contention_manager $ mix $ only_op $ warmup $ csv_out
       $ minor_heap $ sanitize)
 
 let () = exit (Cmd.eval' cmd)

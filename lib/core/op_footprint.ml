@@ -303,41 +303,16 @@ let find =
   in
   fun code -> Hashtbl.find_opt (Lazy.force tbl) code
 
-(** May-footprint for reads: an operation may read what it may write. *)
-let may_read e = e.fp_reads @ e.fp_writes
-
 let pure_read_of e = e.fp_writes = [] && not e.fp_structural
 
 (** Inferred pure-read verdict, [None] for operations outside the
     table (synthetic test profiles fall back to their declaration). *)
 let ro_hint code = Option.map pure_read_of (find code)
 
-let pure_read code = ro_hint code = Some true
-
 let pure_read_codes =
   List.filter_map
     (fun e -> if pure_read_of e then Some e.fp_code else None)
     table
-
-(** Strongest static conflict between two operations:
-    [`Disjoint] no shared region, [`Read_read] shared regions are
-    read on both sides only, [`Read_write] some region written on one
-    side and read on the other, [`Write_write] some region written on
-    both sides. *)
-let classify a b =
-  let inter xs ys = List.exists (fun x -> List.mem x ys) xs in
-  if inter a.fp_writes b.fp_writes then `Write_write
-  else if inter a.fp_writes (may_read b) || inter b.fp_writes (may_read a)
-  then `Read_write
-  else if inter a.fp_reads b.fp_reads then `Read_read
-  else `Disjoint
-
-(** Can a concurrent execution of the two operations conflict at all
-    (some region written on either side is touched by the other)? *)
-let conflicts a b =
-  match classify a b with
-  | `Write_write | `Read_write -> true
-  | `Read_read | `Disjoint -> false
 
 (** (may-read, may-write) bitmasks over [Region.to_int] bit positions,
     in the shape the sanitizer's footprint replay consumes; the read

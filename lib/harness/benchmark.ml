@@ -26,10 +26,6 @@ type config = {
   only_op : string option;
       (** run a single named operation in isolation (OO7-style latency
           measurement) instead of the workload mix *)
-  dispatch : Dispatch.mode;
-      (** how operations are distributed over worker domains: every
-          worker samples the full mix, or workers get disjoint groups
-          from the static conflict matrix (see {!Dispatch}) *)
   scale : Parameters.t;
   scale_name : string;
   index_kind : Index_intf.kind;
@@ -49,9 +45,9 @@ type config = {
           GC-pressure columns stay interpretable. *)
 }
 
-(* Seeded footprint-escape bugs for the {!Fixture} table: when armed,
-   the worker injects one out-of-region access into every execution of
-   a chosen operation — a read of the manual's text during OP2 (whose
+(* Seeded footprint-escape bugs for the {!Fixture} table: an escape
+   armed before a run adds one out-of-region access to every execution
+   of a chosen operation — a read of the manual's text during OP2 (whose
    static may-read set is {indexes, atomic-parts}) or a write of it
    during OP9 (may-write {atomic-parts}). The injection lives here in
    the harness, outside the sync-free core the footprint analysis
@@ -80,7 +76,6 @@ let default_config =
     structure_mods = true;
     reduced_ops = false;
     only_op = None;
-    dispatch = Dispatch.Uniform;
     scale = Parameters.medium;
     scale_name = "medium";
     index_kind = Index_intf.Avl;
@@ -205,19 +200,29 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       else Domain.cpu_relax ()
     done
 
-  (* The {!Unsafe} escapes, applied inside the operation's own atomic
-     block so the access is attributed to the op by the trace. The
-     rewrite writes the value back unchanged: semantically a no-op, but
-     a region violation all the same. *)
-  let inject_escape (op : I.Operation.t) (setup : I.Setup.t) =
-    let man_text =
-      lazy setup.I.Setup.module_.I.Setup.T.mod_manual.I.Setup.T.man_text
+  (* The armed {!Unsafe} escape, wrapped once around its operation's
+     [run] so the access happens inside the op's own atomic block and
+     the trace attributes it to the op. The rewrite writes the value
+     back unchanged: semantically a no-op, but a region violation all
+     the same. *)
+  let with_escape (op : I.Operation.t) =
+    let man_text (setup : I.Setup.t) =
+      setup.I.Setup.module_.I.Setup.T.mod_manual.I.Setup.T.man_text
     in
     if !Unsafe.escape_read && String.equal op.code "OP2" then
-      ignore (Sys.opaque_identity (R.read (Lazy.force man_text)));
-    if !Unsafe.escape_write && String.equal op.code "OP9" then
-      let tv = Lazy.force man_text in
-      R.write tv (R.read tv)
+      { op with
+        run =
+          (fun rng setup ->
+            ignore (Sys.opaque_identity (R.read (man_text setup)));
+            op.run rng setup) }
+    else if !Unsafe.escape_write && String.equal op.code "OP9" then
+      { op with
+        run =
+          (fun rng setup ->
+            let tv = man_text setup in
+            R.write tv (R.read tv);
+            op.run rng setup) }
+    else op
 
   (* One worker thread: run operations until the stop flag rises (and,
      in max_ops mode, at most [budget] operations). *)
@@ -239,11 +244,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       let op = ops.(i) in
       let t0 = Unix.gettimeofday () in
       let ok =
-        match
-          R.atomic ~profile:op.profile (fun () ->
-              inject_escape op setup;
-              op.run rng setup)
-        with
+        match R.atomic ~profile:op.profile (fun () -> op.run rng setup) with
         | (_ : int) -> true
         | exception Sb7_core.Common.Operation_failed _ -> false
       in
@@ -263,29 +264,10 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
        so contention behaviour is reproducible per seed without domains
        spinning in lockstep. *)
     Sb7_stm.Backoff.set_run_seed config.seed;
-    let ops = enabled_operations config in
+    let ops = Array.map with_escape (enabled_operations config) in
     let descs = Array.map describe ops in
     let expected = Workload.ratios ~mix:config.mix config.workload descs in
     let cdf = Workload.cdf expected in
-    (* Conflict-aware dispatch: workers sample disjoint operation
-       groups chosen from the static conflict matrix instead of the
-       full mix (single-domain runs have nothing to separate). *)
-    let groups =
-      match config.dispatch with
-      | Dispatch.Conflict_aware when config.threads > 1 ->
-        Some
-          (Dispatch.partition ~domains:config.threads ~descs ~ratios:expected)
-      | Dispatch.Conflict_aware | Dispatch.Uniform -> None
-    in
-    let conflict_pairs =
-      Dispatch.conflict_pairs ?groups ~domains:config.threads descs
-    in
-    let cdf_for worker =
-      match groups with
-      | None -> cdf
-      | Some groups ->
-        Workload.cdf (Dispatch.weights_for ~worker ~groups ~ratios:expected)
-    in
     (* Stale region notes from an earlier run's structure would collide
        with this run's recycled sids (see Trace.reset_notes). Cleared
        before the structure is built so its notes are the only ones. *)
@@ -305,7 +287,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
             Domain.spawn (fun () ->
                 apply_minor_heap config.minor_heap;
                 await_start ~ready ~go;
-                worker ~ops ~cdf:(cdf_for i) ~setup ~stop ~budget
+                worker ~ops ~cdf ~setup ~stop ~budget
                   ~seed:(config.seed + ((i + 1) * stride))
                   ~histograms))
       in
@@ -391,8 +373,6 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       long_traversals = config.long_traversals;
       structure_mods = config.structure_mods;
       reduced_ops = config.reduced_ops;
-      dispatch = config.dispatch;
-      conflict_pairs;
       minor_collections =
         gc1.Gc.minor_collections - gc0.Gc.minor_collections;
       major_collections =

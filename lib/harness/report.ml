@@ -26,11 +26,7 @@ let print_parameters ppf (r : Run_result.t) =
   Format.fprintf ppf "Structure mods:       %s@."
     (if r.structure_mods then "enabled" else "disabled");
   if r.reduced_ops then
-    Format.fprintf ppf "Operation set:        reduced (§5)@.";
-  if r.dispatch <> Dispatch.Uniform then
-    Format.fprintf ppf "Dispatch:             %s (%d conflicting pairs across domains)@."
-      (Dispatch.mode_to_string r.dispatch)
-      r.conflict_pairs
+    Format.fprintf ppf "Operation set:        reduced (§5)@."
 
 let print_histograms ppf (r : Run_result.t) =
   if r.stats.Stats.with_histograms then begin

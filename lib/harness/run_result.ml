@@ -20,10 +20,6 @@ type t = {
   long_traversals : bool;
   structure_mods : bool;
   reduced_ops : bool;
-  dispatch : Dispatch.mode;
-  conflict_pairs : int;
-      (* unordered statically-conflicting op pairs that could run
-         concurrently on distinct domains under this dispatch mode *)
   minor_collections : int;
       (* Gc.quick_stat delta over the measured window, observed from
          the coordinating domain — a process-wide allocation-pressure
