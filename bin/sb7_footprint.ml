@@ -2,8 +2,9 @@
     dune-generated typed ASTs of the sync-free core.
 
     [gen] emits the contents of lib/core/op_footprint.ml (the committed
-    table consumed by read-only dispatch, lint rule R4 and the
-    sanitizer's footprint replay); [matrix] prints the 45x45 operation
+    table the sanitizer's footprint replay checks runs against) and
+    refuses a table whose inferred pure-read set differs from the
+    declared read-only profiles; [matrix] prints the 45x45 operation
     conflict matrix as text, JSON or Graphviz dot. See
     docs/FOOTPRINT.md. *)
 
@@ -28,9 +29,10 @@ let load paths =
   end;
   List.sort (fun a b -> compare a.F.fp_code b.F.fp_code) fps
 
-(* Fail generation (and let [matrix] report) on the two invariants the
+(* Fail generation (and let [matrix] report) on the invariants the
    table must satisfy: every write attributed to a region, and the
-   inference agreeing with every R4-verified read-only declaration. *)
+   inferred pure-read set equal to the declared read-only set, the one
+   read-only fact STM dispatch and lint R4 read. *)
 let violations fps =
   List.concat_map
     (fun fp ->
@@ -50,6 +52,13 @@ let violations fps =
            writes to %s — region table or inference is wrong"
           fp.F.fp_code
           (String.concat ", " (List.map F.region_to_string fp.F.fp_writes))
+        :: v
+      else if F.pure_read fp && not (fp.F.fp_declared_ro || fp.F.fp_unresolved)
+      then
+        Printf.sprintf
+          "%s: inferred pure-read but its profile declares writes — drop \
+           the ~writes clause so it takes the read-only path"
+          fp.F.fp_code
         :: v
       else v)
     fps
@@ -118,14 +127,6 @@ let emit_table fps =
     \       t)\n\
     \  in\n\
     \  fun code -> Hashtbl.find_opt (Lazy.force tbl) code\n\n\
-     let pure_read_of e = e.fp_writes = [] && not e.fp_structural\n\n\
-     (** Inferred pure-read verdict, [None] for operations outside the\n\
-    \    table (synthetic test profiles fall back to their declaration). *)\n\
-     let ro_hint code = Option.map pure_read_of (find code)\n\n\
-     let pure_read_codes =\n\
-    \  List.filter_map\n\
-    \    (fun e -> if pure_read_of e then Some e.fp_code else None)\n\
-    \    table\n\n\
      (** (may-read, may-write) bitmasks over [Region.to_int] bit positions,\n\
     \    in the shape the sanitizer's footprint replay consumes; the read\n\
     \    mask includes the write mask. *)\n\
@@ -274,8 +275,9 @@ let paths_arg =
 let gen_cmd =
   let doc =
     "emit lib/core/op_footprint.ml to stdout: the per-operation region \
-     table read by read-only dispatch, lint rule R4 and the sanitizer's \
-     footprint replay"
+     table read by the sanitizer's footprint replay; exit 2 when a write \
+     is unattributed or the inferred pure-read set differs from the \
+     declared read-only profiles"
   in
   Cmd.v (Cmd.info "gen" ~doc) Term.(const gen $ paths_arg)
 
@@ -300,9 +302,10 @@ let cmd =
          abstract regions of the OO7 structure (indexes, assemblies, \
          composite parts, atomic-part graphs, documents, manual) each \
          registered operation may read and write; prints the pairwise \
-         conflict matrix and generates the table consumed by read-only \
-         dispatch, lint rule R4 and the sanitizer's footprint replay \
-         (lib/core/op_footprint.ml).";
+         conflict matrix and generates the table consumed by the \
+         sanitizer's footprint replay (lib/core/op_footprint.ml). Both \
+         fail (exit 2) when an operation declared read-only is inferred \
+         to write, or one inferred pure-read declares writes.";
     ]
   in
   Cmd.group (Cmd.info "sb7_footprint" ~version:"1.0" ~doc ~man)

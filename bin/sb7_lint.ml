@@ -21,19 +21,6 @@ let run paths json sarif strict_local allow_stale source_root rules timing =
   let config =
     let base = Sb7_analysis.Lint_config.default in
     let base = { base with Sb7_analysis.Lint_config.strict_local } in
-    (* R4 verifies the generated footprint table's pure-read set, not
-       the hand-written ~writes declarations: the generator decides
-       which operations take the read-only fast path (Op_footprint
-       feeds Op_profile.ro_hint), so the generator is what honesty
-       checking must police. *)
-    let base =
-      let open Sb7_analysis.Lint_config in
-      {
-        base with
-        r4 =
-          { base.r4 with r4_ro_codes = Sb7_core.Op_footprint.pure_read_codes };
-      }
-    in
     Sb7_analysis.Lint_config.narrow base rules
   in
   let clock = if timing then Some Unix.gettimeofday else None in

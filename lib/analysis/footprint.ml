@@ -87,11 +87,9 @@ let mask_mem m r = m land bit r <> 0
 let mask_regions m = List.filter (mask_mem m) all_regions
 
 type config = {
-  fp_registry_units : string list;
-  fp_builders : (string * bool) list;
-      (** operation-registering builder -> is-structural *)
-  fp_universe_prefixes : string list;
-  fp_write_idents : string list;  (** the runtime write primitive *)
+  fp_registry : Lint_config.r4;
+      (** registry units, builders, universe and write primitive: the
+          scope of lint rule R4, read through its one registry scan *)
   fp_field_regions : (string * region) list;
       (** object-field label -> region of the containing object *)
   fp_read_fields : (string * region) list;
@@ -100,24 +98,16 @@ type config = {
       (** container-mutator field -> region written when projected *)
 }
 
-(** The repository configuration: region attribution for every field
-    of {!Types}, the index records of {!Index_intf} and the id pools.
-    Connections belong to the atomic-part graphs they link; id pools
-    share the Indexes region with the Table 1 indexes (both are global
-    lookup structure, not OO7 objects). *)
+(** The repository configuration: R4's registry scope, and region
+    attribution for every field of {!Types}, the index records of
+    {!Index_intf} and the id pools. Connections belong to the
+    atomic-part graphs they link; id pools share the Indexes region
+    with the Table 1 indexes (both are global lookup structure, not
+    OO7 objects). *)
 let default =
   let ap = Atomic_parts and cp = Composite_parts in
   {
-    fp_registry_units = [ "Sb7_core__Operation" ];
-    fp_builders =
-      [
-        ("long_traversal", false);
-        ("short_traversal", false);
-        ("short_operation", false);
-        ("structure_mod", true);
-      ];
-    fp_universe_prefixes = [ "Sb7_core__" ];
-    fp_write_idents = [ "R.write" ];
+    fp_registry = Lint_config.default.r4;
     fp_field_regions =
       [
         ("ap_id", ap); ("ap_type", ap); ("ap_build_date", ap);
@@ -235,7 +225,9 @@ let resolve_value ~units ~alias_tables ~unit_name p =
       | None -> None))
 
 let analyze_binding config ~units ~alias_tables ~unit_name expr (v : finfo) =
-  let is_write_ident p = List.mem (Path.name p) config.fp_write_idents in
+  let is_write_ident p =
+    List.mem (Path.name p) config.fp_registry.Lint_config.r4_write_idents
+  in
   let note_ref p =
     if not (is_write_ident p) then
       match resolve_value ~units ~alias_tables ~unit_name p with
@@ -382,89 +374,6 @@ let resolve_generics infos =
       infos
   done
 
-(* --- Registry extraction: all registered operations --- *)
-
-type registered = {
-  reg_code : string;
-  reg_structural : bool;
-  reg_declared_ro : bool;
-  reg_run : (string * string) option;
-  reg_run_name : string;
-  reg_loc : Location.t;
-}
-
-let registered_ops config ~units ~alias_tables (u : Cmt_unit.t) =
-  let ops = ref [] in
-  let handle_apply fn args loc =
-    match fn.exp_desc with
-    | Texp_ident (p, _, _) -> (
-      match
-        List.assoc_opt (Rule_r4.last_component p) config.fp_builders
-      with
-      | None -> ()
-      | Some structural -> (
-        let code =
-          List.find_map
-            (fun (label, arg) ->
-              match (label, arg) with
-              | Asttypes.Nolabel, Some a -> Rule_r4.const_string a
-              | _ -> None)
-            args
-        in
-        let has_writes =
-          List.exists
-            (fun (label, arg) ->
-              (match label with
-              | Asttypes.Labelled s | Asttypes.Optional s -> s = "writes"
-              | Asttypes.Nolabel -> false)
-              &&
-              match arg with
-              | Some a -> not (Rule_r4.is_none_construct a)
-              | None -> false)
-            args
-        in
-        let run =
-          List.fold_left
-            (fun acc (label, arg) ->
-              match (label, arg) with
-              | Asttypes.Nolabel, Some a -> (
-                match (Rule_r4.unwrap_option_arg a).exp_desc with
-                | Texp_ident (rp, _, _) -> Some rp
-                | _ -> acc)
-              | _ -> acc)
-            None args
-        in
-        match (code, run) with
-        | Some code, Some rp ->
-          ops :=
-            {
-              reg_code = code;
-              reg_structural = structural;
-              reg_declared_ro = (not has_writes) && not structural;
-              reg_run =
-                resolve_value ~units ~alias_tables
-                  ~unit_name:u.Cmt_unit.name rp;
-              reg_run_name = Path.name rp;
-              reg_loc = loc;
-            }
-            :: !ops
-        | _ -> ()))
-    | _ -> ()
-  in
-  let iter =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          (match e.exp_desc with
-          | Texp_apply (fn, args) -> handle_apply fn args e.exp_loc
-          | _ -> ());
-          Tast_iterator.default_iterator.expr sub e);
-    }
-  in
-  iter.structure iter u.Cmt_unit.structure;
-  List.rev !ops
-
 (* --- Reachability closure --- *)
 
 type op_footprint = {
@@ -504,11 +413,6 @@ let closure infos start =
   go start;
   (!reads, !writes)
 
-let in_universe config unit_name =
-  List.exists
-    (fun p -> String.starts_with ~prefix:p unit_name)
-    config.fp_universe_prefixes
-
 (** Infer the footprint of every operation registered in the
     configured registry units. [fp_unresolved] is set when the
     operation's own run-function closure root is a generic writer —
@@ -516,9 +420,10 @@ let in_universe config unit_name =
 let infer ?(config = default) (all_units : Cmt_unit.t list) =
   let units = Hashtbl.create 64 in
   List.iter (fun u -> Hashtbl.replace units u.Cmt_unit.name ()) all_units;
-  let relevant name =
-    in_universe config name || List.mem name config.fp_registry_units
-  in
+  let registry = config.fp_registry in
+  let in_universe = Rule_r4.in_universe registry in
+  let is_registry name = List.mem name registry.Lint_config.r4_registry_units in
+  let relevant name = in_universe name || is_registry name in
   (* Alias tables first, for all relevant units, so the resolver can
      chase alias chains that cross units. *)
   let alias_tables = Hashtbl.create 32 in
@@ -531,7 +436,7 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
   let infos = Hashtbl.create 32 in
   List.iter
     (fun u ->
-      if in_universe config u.Cmt_unit.name then
+      if in_universe u.Cmt_unit.name then
         Hashtbl.replace infos u.Cmt_unit.name
           (unit_info config ~units ~alias_tables u))
     all_units;
@@ -546,32 +451,37 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
   in
   List.concat_map
     (fun u ->
-      if not (List.mem u.Cmt_unit.name config.fp_registry_units) then []
+      if not (is_registry u.Cmt_unit.name) then []
       else
         List.map
-          (fun reg ->
+          (fun (reg : Rule_r4.registration) ->
+            let run =
+              resolve_value ~units ~alias_tables ~unit_name:u.Cmt_unit.name
+                reg.reg_run
+            in
             let reads, writes =
-              match reg.reg_run with
+              match run with
               | Some target -> closure infos target
               | None -> (0, 0)
             in
             {
               fp_code = reg.reg_code;
               fp_structural = reg.reg_structural;
-              fp_declared_ro = reg.reg_declared_ro;
-              fp_run_name = reg.reg_run_name;
+              fp_declared_ro =
+                (not reg.reg_has_writes) && not reg.reg_structural;
+              fp_run_name = Path.name reg.reg_run;
               fp_reads = mask_regions (reads land lnot writes);
               fp_writes = mask_regions writes;
               fp_unresolved =
-                (match reg.reg_run with
+                (match run with
                 | None -> true
                 | Some target -> root_generic target);
               fp_loc = reg.reg_loc;
             })
-          (registered_ops config ~units ~alias_tables u))
+          (Rule_r4.registrations registry u))
     all_units
 
-(* --- Conflict classification (mirrors Sb7_core.Op_footprint) --- *)
+(* --- Conflict classification --- *)
 
 let may_read fp = fp.fp_reads @ fp.fp_writes
 

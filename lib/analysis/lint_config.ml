@@ -63,28 +63,22 @@ type r3_spec = {
 }
 
 (** Scope of rule R4 (profile honesty): operations registered in
-    [r4_registry_units] by one of [r4_profiled_builders] with no
-    [~writes] argument are declared read-only; their run function must
+    [r4_registry_units] by one of [r4_profiled_builders] with no (or an
+    empty) [~writes] argument are declared read-only; their run function must
     not reach a configured write identifier or index-mutator field
     through the value-reference graph of units matching
     [r4_universe_prefixes]. An empty [r4_registry_units] disables the
-    rule. *)
+    rule. The footprint inference (sb7-footprint) reads the registry
+    through the same scope. *)
 type r4 = {
   r4_registry_units : string list;
-  r4_ro_codes : string list;
-      (** when non-empty, the set of operation codes to verify as
-          read-only — the inferred pure-read set of the generated
-          footprint table (sb7-lint feeds it
-          [Sb7_core.Op_footprint.pure_read_codes]), replacing the
-          no-[~writes] declaration heuristic: the rule then polices the
-          generator's output rather than the human's claim *)
   r4_profiled_builders : string list;
       (** builder functions whose applications register a profiled
           operation; first positional string literal is the code, last
           positional identifier the run function *)
   r4_structural_builders : string list;
-      (** builders whose operations are structural (never read-only) —
-          recognised so they are skipped, not misparsed *)
+      (** builders whose operations are structural (never read-only):
+          R4 skips them, the footprint inference marks them *)
   r4_universe_prefixes : string list;
   r4_write_idents : string list;
       (** fully-qualified identifiers that perform a transactional
@@ -156,17 +150,6 @@ type t = {
       (** when true, R1 also reports provably transaction-local mutable
           state (notices): useful to audit a module for full purity *)
 }
-
-let disabled_r4 =
-  {
-    r4_registry_units = [];
-    r4_ro_codes = [];
-    r4_profiled_builders = [];
-    r4_structural_builders = [];
-    r4_universe_prefixes = [];
-    r4_write_idents = [];
-    r4_write_fields = [];
-  }
 
 let spec_for t unit_name =
   List.find_opt (fun s -> s.r3_unit = unit_name) t.r3
@@ -337,9 +320,6 @@ let default =
            builders; a missing ~writes makes the profile read-only and
            the runtimes dispatch it through the zero-log path. *)
         r4_registry_units = [ "Sb7_core__Operation" ];
-        (* Empty = the declaration heuristic; bin/sb7_lint substitutes
-           the generated table's pure-read set (see r4_ro_codes doc). *)
-        r4_ro_codes = [];
         r4_profiled_builders =
           [ "long_traversal"; "short_traversal"; "short_operation" ];
         r4_structural_builders = [ "structure_mod" ];

@@ -28,6 +28,21 @@ type result = {
           passed [?clock] *)
 }
 
+(* The units reachable from [seeds] (inclusive) over the module
+   reference [edges] the collect walk gathered: R2's scope. The
+   approximation is module-granular, so a false edge can only make
+   the lint stricter, never miss a real one. *)
+let closure ~(edges : (string, string list) Hashtbl.t) ~seeds =
+  let reached = Hashtbl.create 64 in
+  let rec visit name =
+    if not (Hashtbl.mem reached name) then begin
+      Hashtbl.replace reached name ();
+      List.iter visit (try Hashtbl.find edges name with Not_found -> [])
+    end
+  in
+  List.iter visit seeds;
+  reached
+
 let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
   let tacc : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
   let note key dt =
@@ -98,9 +113,7 @@ let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
           Hashtbl.replace edges name
             (Hashtbl.fold (fun k () acc -> k :: acc) refs []))
         units);
-  let reachable =
-    Mod_graph.closure ~edges ~seeds:config.Lint_config.r2.r2_seeds
-  in
+  let reachable = closure ~edges ~seeds:config.Lint_config.r2.r2_seeds in
   let raw = ref [] in
   let emit f = raw := f :: !raw in
   (* Pass 2: check — every per-expression rule in one walk per unit. *)

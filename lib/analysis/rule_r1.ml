@@ -237,39 +237,6 @@ let item_hook
         vbs
     | _ -> ()
 
-let check (u : Cmt_unit.t) ~strict_local =
-  let findings = ref [] in
-  let unit_name = u.Cmt_unit.name in
-  let add ?severity ~rule ~loc msg =
-    findings := Lint_finding.make ?severity ~rule ~loc ~unit_name msg :: !findings
-  in
-  let locals = Hashtbl.create 64 in
-  let pass1 =
-    {
-      Tast_iterator.default_iterator with
-      value_binding =
-        (fun sub vb ->
-          register_local locals vb;
-          Tast_iterator.default_iterator.value_binding sub vb);
-    }
-  in
-  pass1.structure pass1 u.Cmt_unit.structure;
-  let pass2 =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          expr_hook ~locals ~strict_local ~add e;
-          Tast_iterator.default_iterator.expr sub e);
-      structure_item =
-        (fun sub item ->
-          item_hook ~add item;
-          Tast_iterator.default_iterator.structure_item sub item);
-    }
-  in
-  pass2.structure pass2 u.Cmt_unit.structure;
-  List.rev !findings
-
 (* Domain-local storage audit ([raw-dls], run over a wider scope than
    plain R1 — see Lint_config.r1_dls_prefixes): [Domain.DLS] is shared
    mutable state with per-domain visibility, legitimate only for the
@@ -292,18 +259,3 @@ let dls_hook ~unit_name ~emit e =
                Lint_config.r1_dls_allowed_units)"
               name))
   | _ -> ()
-
-let check_dls (u : Cmt_unit.t) =
-  let findings = ref [] in
-  let emit f = findings := f :: !findings in
-  let pass =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          dls_hook ~unit_name:u.Cmt_unit.name ~emit e;
-          Tast_iterator.default_iterator.expr sub e);
-    }
-  in
-  pass.structure pass u.Cmt_unit.structure;
-  List.rev !findings

@@ -8,10 +8,10 @@
     formatting ([Printf.sprintf], [Printf.ksprintf], [Format.asprintf])
     is allowed.
 
-    Reachability is computed at module granularity by {!Mod_graph} from
-    the configured seed units; the universe is restricted so that the
-    runtimes themselves (which legitimately use locks and domains) are
-    not in scope. *)
+    Reachability is computed at module granularity by the engine's
+    collect walk ({!Lint_engine.closure}) from the configured seed
+    units; the universe is restricted so that the runtimes themselves
+    (which legitimately use locks and domains) are not in scope. *)
 
 open Typedtree
 
@@ -76,18 +76,3 @@ let expr_hook ~unit_name ~emit e =
               name reason))
     | None -> ())
   | _ -> ()
-
-let check (u : Cmt_unit.t) =
-  let findings = ref [] in
-  let emit f = findings := f :: !findings in
-  let iter =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          expr_hook ~unit_name:u.Cmt_unit.name ~emit e;
-          Tast_iterator.default_iterator.expr sub e);
-    }
-  in
-  iter.structure iter u.Cmt_unit.structure;
-  List.rev !findings

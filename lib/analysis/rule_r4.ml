@@ -12,10 +12,12 @@
     their write closures as arguments):
 
     1. In the configured registry unit(s), find applications of the
-       profiled operation builders. An operation is declared read-only
-       when it is built by a non-structural builder with no [~writes]
-       argument; the last positional identifier argument is its run
-       function.
+       operation builders ({!registrations}, the one registry scan,
+       shared with the footprint inference). An operation is declared
+       read-only when it is built by a non-structural builder with no
+       [~writes] argument or an empty one ([~writes:[]]), as
+       [Op_profile.read_only] reads it; the last positional identifier
+       argument is its run function.
     2. For every unit in the configured universe, build a reference
        graph over top-level value bindings (including bindings inside
        functor bodies, which is where the sync-free core lives). Local
@@ -32,7 +34,6 @@
 
     Approximations, all on the strict side: referencing a writing
     closure counts as writing even if the reference is never called;
-    an explicit [~writes:[]] is treated as an update declaration;
     bindings of the same name in sibling nested modules of one unit
     are merged. A false positive is suppressible per site; a write
     reached only through a closure parameter (not a named value) is
@@ -43,14 +44,15 @@ open Typedtree
 
 let last_component = Escape_graph.last_component
 
-(* --- Registry extraction --- *)
+(* --- Registry extraction, shared with the footprint inference --- *)
 
-type registered_op = {
-  op_code : string;
-  op_run : (string * string) option;  (** resolved (unit, value) *)
-  op_run_name : string;  (** as written, for messages *)
-  op_has_writes : bool;  (** a non-[None] [~writes] argument was passed *)
-  op_loc : Location.t;
+type registration = {
+  reg_code : string;
+  reg_structural : bool;  (** built by one of [r4_structural_builders] *)
+  reg_has_writes : bool;
+      (** a [~writes] argument other than [None] or [[]] was passed *)
+  reg_run : Path.t;  (** the run function as written; unresolved *)
+  reg_loc : Location.t;
 }
 
 let const_string e =
@@ -58,9 +60,9 @@ let const_string e =
   | Texp_constant (Const_string (s, _, _)) -> Some s
   | _ -> None
 
-let is_none_construct e =
+let is_construct name e =
   match e.exp_desc with
-  | Texp_construct (_, cd, _) -> cd.Types.cstr_name = "None"
+  | Texp_construct (_, cd, _) -> cd.Types.cstr_name = name
   | _ -> false
 
 (* Unwrap the [Some e] the typechecker inserts when an optional
@@ -70,16 +72,19 @@ let unwrap_option_arg e =
   | Texp_construct (_, { Types.cstr_name = "Some"; _ }, [ inner ]) -> inner
   | _ -> e
 
-(* Every profiled-builder registration in a registry unit, with
-   whether a (non-[None]) [~writes] argument was passed. *)
-let registered_ops (config : Lint_config.r4) ~units (u : Cmt_unit.t) =
-  let aliases = Escape_graph.collect_aliases ~units u.Cmt_unit.structure in
+(* Every application of a profiled or structural builder in a registry
+   unit: the first positional string literal is the operation code,
+   the last positional identifier its run function. This rule and the
+   footprint inference both read the registry through this one scan;
+   each resolves [reg_run] with its own resolver. *)
+let registrations (config : Lint_config.r4) (u : Cmt_unit.t) =
   let ops = ref [] in
   let handle_apply fn args loc =
     match fn.exp_desc with
     | Texp_ident (p, _, _) ->
       let builder = last_component p in
-      if List.mem builder config.r4_profiled_builders then begin
+      let structural = List.mem builder config.r4_structural_builders in
+      if structural || List.mem builder config.r4_profiled_builders then begin
         let code =
           List.find_map
             (fun (label, arg) ->
@@ -96,7 +101,10 @@ let registered_ops (config : Lint_config.r4) ~units (u : Cmt_unit.t) =
               | Asttypes.Nolabel -> false)
               &&
               match arg with
-              | Some a -> not (is_none_construct a)
+              | Some a ->
+                not
+                  (is_construct "None" a
+                  || is_construct "[]" (unwrap_option_arg a))
               | None -> false)
             args
         in
@@ -113,25 +121,13 @@ let registered_ops (config : Lint_config.r4) ~units (u : Cmt_unit.t) =
         in
         match (code, run) with
         | Some code, Some rp ->
-          let resolved =
-            match Cmt_unit.resolve_ref ~units rp with
-            | Some target -> Some (target, last_component rp)
-            | None -> (
-              match rp with
-              | Path.Pdot (Path.Pident m, field) -> (
-                match Hashtbl.find_opt aliases (Ident.name m) with
-                | Some target -> Some (target, field)
-                | None -> None)
-              | Path.Pident id -> Some (u.Cmt_unit.name, Ident.name id)
-              | _ -> None)
-          in
           ops :=
             {
-              op_code = code;
-              op_run = resolved;
-              op_run_name = Path.name rp;
-              op_has_writes = has_writes;
-              op_loc = loc;
+              reg_code = code;
+              reg_structural = structural;
+              reg_has_writes = has_writes;
+              reg_run = rp;
+              reg_loc = loc;
             }
             :: !ops
         | _ -> ()
@@ -151,6 +147,20 @@ let registered_ops (config : Lint_config.r4) ~units (u : Cmt_unit.t) =
   in
   iter.structure iter u.Cmt_unit.structure;
   List.rev !ops
+
+(* A run function as a (unit, value) reference: a unit reference
+   directly, or through one level of local module alias
+   ([LT.t1] with [module LT = Traversals.Make (R)]). *)
+let resolve_run ~units ~aliases ~unit_name rp =
+  match Cmt_unit.resolve_ref ~units rp with
+  | Some target -> Some (target, last_component rp)
+  | None -> (
+    match rp with
+    | Path.Pdot (Path.Pident m, field) ->
+      Option.map (fun target -> (target, field))
+        (Hashtbl.find_opt aliases (Ident.name m))
+    | Path.Pident id -> Some (unit_name, Ident.name id)
+    | _ -> None)
 
 (* --- Reachability over the shared escape-graph summaries --- *)
 
@@ -188,52 +198,37 @@ let pos_of loc =
 
 (* [summaries] is the engine's shared escape graph (built once, used by
    both this rule and R7); it covers at least every unit in the R4
-   universe. *)
+   universe. Every profiled registration without [~writes] is checked. *)
 let check (config : Lint_config.r4) ~units
     ~(summaries : (string, Escape_graph.summary) Hashtbl.t)
     (all_units : Cmt_unit.t list) =
-  if config.r4_registry_units = [] then []
-  else begin
-    (* Which registrations are read-only claims to verify: the codes
-       the generated footprint table infers as pure reads when
-       configured, the no-~writes declaration heuristic otherwise. *)
-    let claimed_ro op =
-      match config.r4_ro_codes with
-      | [] -> not op.op_has_writes
-      | codes -> List.mem op.op_code codes
-    in
-    let claim_source =
-      if config.r4_ro_codes = [] then "profile declares read-only (no ~writes)"
-      else "the footprint table infers pure-read"
-    in
-    let claim_fix =
-      if config.r4_ro_codes = [] then "fix the profile or the operation"
-      else "the sb7-footprint generator is unsound for this operation"
-    in
-    let findings = ref [] in
-    List.iter
-      (fun u ->
-        if List.mem u.Cmt_unit.name config.r4_registry_units then
-          List.iter
-            (fun op ->
-              match op.op_run with
-              | None -> ()
-              | Some target when claimed_ro op -> (
+  List.concat_map
+    (fun u ->
+      let unit_name = u.Cmt_unit.name in
+      if not (List.mem unit_name config.r4_registry_units) then []
+      else
+        let aliases =
+          Escape_graph.collect_aliases ~units u.Cmt_unit.structure
+        in
+        List.filter_map
+          (fun reg ->
+            if reg.reg_structural || reg.reg_has_writes then None
+            else
+              match resolve_run ~units ~aliases ~unit_name reg.reg_run with
+              | None -> None
+              | Some target -> (
                 match find_write summaries target with
-                | None -> ()
+                | None -> None
                 | Some (w_unit, w_value, what, w_loc) ->
                   let file, line = pos_of w_loc in
-                  findings :=
-                    Lint_finding.make ~rule:"profile-honesty" ~loc:op.op_loc
-                      ~unit_name:u.Cmt_unit.name
-                      (Printf.sprintf
-                         "operation %S: %s but its run function %s reaches \
-                          %s in %s.%s (%s:%d) — %s"
-                         op.op_code claim_source op.op_run_name what w_unit
-                         w_value file line claim_fix)
-                    :: !findings)
-              | Some _ -> ())
-            (registered_ops config ~units u))
-      all_units;
-    List.rev !findings
-  end
+                  Some
+                    (Lint_finding.make ~rule:"profile-honesty"
+                       ~loc:reg.reg_loc ~unit_name
+                       (Printf.sprintf
+                          "operation %S: profile declares read-only (no \
+                           ~writes) but its run function %s reaches %s in \
+                           %s.%s (%s:%d) — fix the profile or the operation"
+                          reg.reg_code (Path.name reg.reg_run) what w_unit
+                          w_value file line))))
+          (registrations config u))
+    all_units

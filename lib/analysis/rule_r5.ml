@@ -41,39 +41,3 @@ let expr_hook ~current ~allowed_bindings ~unit_name ~emit e =
                every checker's back"
               name))
   | _ -> ()
-
-let check (u : Cmt_unit.t) ~allowed_bindings =
-  let findings = ref [] in
-  let unit_name = u.Cmt_unit.name in
-  let emit f = findings := f :: !findings in
-  let current = ref None in
-  let check_expr e = expr_hook ~current ~allowed_bindings ~unit_name ~emit e in
-  let pass =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          check_expr e;
-          Tast_iterator.default_iterator.expr sub e);
-      structure_item =
-        (fun sub item ->
-          match item.str_desc with
-          | Tstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                let saved = !current in
-                (* A top-level [let f : ty = ...] with a ground
-                   annotation is typed as an alias pattern, not a
-                   variable — both name the binding. *)
-                (match vb.vb_pat.pat_desc with
-                | Tpat_var (id, _) | Tpat_alias (_, id, _) ->
-                  current := Some (Ident.name id)
-                | _ -> current := None);
-                sub.value_binding sub vb;
-                current := saved)
-              vbs
-          | _ -> Tast_iterator.default_iterator.structure_item sub item);
-    }
-  in
-  pass.structure pass u.Cmt_unit.structure;
-  List.rev !findings

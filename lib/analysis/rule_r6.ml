@@ -208,18 +208,3 @@ let expr_hook (r6 : Lint_config.r6) ~unit_name ~emit e =
         | _ -> ())
       args
   | _ -> ()
-
-let check (r6 : Lint_config.r6) (u : Cmt_unit.t) =
-  let findings = ref [] in
-  let emit f = findings := f :: !findings in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          expr_hook r6 ~unit_name:u.Cmt_unit.name ~emit e;
-          Tast_iterator.default_iterator.expr sub e);
-    }
-  in
-  it.structure it u.Cmt_unit.structure;
-  List.rev !findings

@@ -303,17 +303,6 @@ let find =
   in
   fun code -> Hashtbl.find_opt (Lazy.force tbl) code
 
-let pure_read_of e = e.fp_writes = [] && not e.fp_structural
-
-(** Inferred pure-read verdict, [None] for operations outside the
-    table (synthetic test profiles fall back to their declaration). *)
-let ro_hint code = Option.map pure_read_of (find code)
-
-let pure_read_codes =
-  List.filter_map
-    (fun e -> if pure_read_of e then Some e.fp_code else None)
-    table
-
 (** (may-read, may-write) bitmasks over [Region.to_int] bit positions,
     in the shape the sanitizer's footprint replay consumes; the read
     mask includes the write mask. *)

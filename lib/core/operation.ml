@@ -23,30 +23,21 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   let upper_levels = P.assembly_levels 2 P.max_assembly_levels
   let level1 = [ P.Assembly_level 1 ]
 
-  (* The read-only dispatch hint comes from the generated footprint
-     table (lib/core/op_footprint.ml), not the hand-written ~writes
-     declarations: the declarations keep feeding the medium runtime's
-     locking plans, but which operations take the zero-log / snapshot
-     path is decided by the sb7-footprint analysis, with lint R4 and
-     the sb7-sanitize footprint replay policing the generator. *)
-  let profile ~name ?reads ?writes ?structural () =
-    P.make ~name ?reads ?writes ?structural ?ro:(Op_footprint.ro_hint name) ()
-
   let long_traversal code ?reads ?writes run =
     { code; category = Category.Long_traversal;
-      profile = profile ~name:code ?reads ?writes (); run }
+      profile = P.make ~name:code ?reads ?writes (); run }
 
   let short_traversal code ?reads ?writes run =
     { code; category = Category.Short_traversal;
-      profile = profile ~name:code ?reads ?writes (); run }
+      profile = P.make ~name:code ?reads ?writes (); run }
 
   let short_operation code ?reads ?writes run =
     { code; category = Category.Short_operation;
-      profile = profile ~name:code ?reads ?writes (); run }
+      profile = P.make ~name:code ?reads ?writes (); run }
 
   let structure_mod code run =
     { code; category = Category.Structure_modification;
-      profile = profile ~name:code ~structural:true (); run }
+      profile = P.make ~name:code ~structural:true (); run }
 
   (* Domain shorthands for the deep traversals. *)
   let deep_ro = levels @ [ P.Composite_parts; P.Atomic_parts ]

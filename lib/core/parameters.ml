@@ -113,13 +113,3 @@ let max_composite_parts t = with_slack t t.num_comp_per_module
 let max_atomic_parts t = max_composite_parts t * t.num_atomic_per_comp
 let max_base_assemblies t = with_slack t (initial_base_assemblies t)
 let max_complex_assemblies t = with_slack t (initial_complex_assemblies t)
-
-let pp ppf t =
-  (* sb7-lint: allow irrevocable -- report-time pretty-printer; it is
-     module-reachable from Setup but never called inside an operation
-     body (operations return ints, they never receive a formatter). *)
-  Format.fprintf ppf
-    "composite parts: %d (x%d atomic parts) | assembly levels: %d (fanout \
-     %d) | document: %dB | manual: %dB"
-    t.num_comp_per_module t.num_atomic_per_comp t.num_assm_levels
-    t.num_assm_per_assm t.document_size t.manual_size

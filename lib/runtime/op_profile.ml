@@ -44,10 +44,6 @@ type t = {
   reads : domain list;  (** domains accessed read-only *)
   writes : domain list;  (** domains updated; takes precedence over reads *)
   structural : bool;  (** structure-modification operation *)
-  ro_hint : bool option;
-      (** inferred pure-read verdict from the generated
-          [Sb7_core.Op_footprint] table; when present it overrides the
-          hand-declared [writes] for read-only dispatch *)
   plan : (domain * [ `Read | `Write ]) list;  (** see {!locking_plan} *)
 }
 
@@ -75,32 +71,21 @@ let plan_of ~reads ~writes ~structural =
 
 (* The plan is computed here, once per profile, because the medium
    runtime reads it on every operation. *)
-let make ~name ?(reads = []) ?(writes = []) ?(structural = false) ?ro () =
+let make ~name ?(reads = []) ?(writes = []) ?(structural = false) () =
   {
     op_name = name;
     reads;
     writes;
     structural;
-    ro_hint = ro;
     plan = plan_of ~reads ~writes ~structural;
   }
 
-(* Read-only dispatch is profile-directed (the zero-log / snapshot
-   fast paths of the STM runtimes key on this). The statically inferred
-   pure-read verdict, when the operation is in the generated footprint
-   table, replaces the hand-declared [~writes] absence; structural
-   operations are never read-only regardless of the hint. The adaptive
-   demotion in Ro_dispatch remains the backstop for a wrong hint. *)
+(* Read-only dispatch is profile-directed: the zero-log / snapshot fast
+   paths of the STM runtimes key on the declaration, lint R4 checks it
+   statically, and the adaptive demotion in Ro_dispatch is the runtime
+   backstop for a wrong one. A [match], not [= []]: the runtimes call
+   this on every operation. *)
 let read_only t =
-  (not t.structural)
-  &&
-  match t.ro_hint with
-  | Some ro -> ro
-  | None -> t.writes = []
+  match t.writes with [] -> not t.structural | _ :: _ -> false
 
 let locking_plan t = t.plan
-
-let pp ppf t =
-  let doms l = String.concat "," (List.map domain_to_string l) in
-  Format.fprintf ppf "%s{reads=%s; writes=%s; structural=%b}" t.op_name
-    (doms t.reads) (doms t.writes) t.structural

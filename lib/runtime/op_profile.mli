@@ -32,10 +32,6 @@ type t = {
   reads : domain list;  (** domains accessed read-only *)
   writes : domain list;  (** domains updated; takes precedence over reads *)
   structural : bool;  (** structure-modification operation *)
-  ro_hint : bool option;
-      (** inferred pure-read verdict from the generated
-          [Sb7_core.Op_footprint] table; when present it overrides the
-          hand-declared [writes] for read-only dispatch *)
   plan : (domain * [ `Read | `Write ]) list;
       (** {!locking_plan}, computed once by {!make} *)
 }
@@ -50,13 +46,10 @@ val make :
   ?reads:domain list ->
   ?writes:domain list ->
   ?structural:bool ->
-  ?ro:bool ->
   unit ->
   t
 
-(** Not structural, and pure-read: per the inferred [ro] hint when one
-    was supplied (the generated [Sb7_core.Op_footprint] table), else
-    per the hand-declared absence of writes. *)
+(** Not structural and declares no writes. *)
 val read_only : t -> bool
 
 (** Domains with their lock modes, deduplicated (write wins), sorted in
@@ -64,5 +57,3 @@ val read_only : t -> bool
     exclusive structure lock already isolates them. Computed once, by
     {!make}. *)
 val locking_plan : t -> (domain * [ `Read | `Write ]) list
-
-val pp : Format.formatter -> t -> unit

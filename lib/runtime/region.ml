@@ -17,10 +17,6 @@ type t =
   | Documents
   | Manual
 
-let all = [ Indexes; Assemblies; Composite_parts; Atomic_parts; Documents; Manual ]
-
-let count = List.length all
-
 (* Codes are the wire format of trace region notes and the generated
    footprint table; keep them dense and stable. *)
 let to_int = function
@@ -47,13 +43,3 @@ let to_string = function
   | Atomic_parts -> "atomic-parts"
   | Documents -> "documents"
   | Manual -> "manual"
-
-(** The region covering an {!Op_profile.domain}: used by the matrix
-    self-consistency check to compare inferred footprints against the
-    hand-declared lock profiles. *)
-let of_domain = function
-  | Op_profile.Assembly_level _ -> Assemblies
-  | Op_profile.Composite_parts -> Composite_parts
-  | Op_profile.Atomic_parts -> Atomic_parts
-  | Op_profile.Documents -> Documents
-  | Op_profile.Manual -> Manual

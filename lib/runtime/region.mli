@@ -11,15 +11,9 @@ type t =
   | Documents
   | Manual
 
-val all : t list
-val count : int
-
 (** Stable dense codes; the wire format of trace region notes and the
     generated [Op_footprint] table. *)
 val to_int : t -> int
 
 val of_int : int -> t option
 val to_string : t -> string
-
-(** The region covering a lock domain of the hand-declared profiles. *)
-val of_domain : Op_profile.domain -> t

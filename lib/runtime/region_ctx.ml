@@ -10,11 +10,6 @@ let key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref unknown)
 
 let current_code () = !(Domain.DLS.get key)
 
-let current () =
-  match Region.of_int (current_code ()) with
-  | Some _ as r -> r
-  | None -> None
-
 let with_region region f =
   let cell = Domain.DLS.get key in
   let saved = !cell in

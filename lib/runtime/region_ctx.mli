@@ -15,8 +15,6 @@ val unknown : int
 (** The current region's {!Region.to_int} code, or {!unknown}. *)
 val current_code : unit -> int
 
-val current : unit -> Region.t option
-
 (** [with_region r f] runs [f] with the current domain's region set to
     [r], restoring the previous region on return or exception. *)
 val with_region : Region.t -> (unit -> 'a) -> 'a

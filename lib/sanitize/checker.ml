@@ -431,7 +431,15 @@ let analyze ~profile (dump : Trace.dump) =
      the graph (a single topological order can misorder concurrent
      commits, so the window test alone only raises a suspicion). Skipped
      when the graph is cyclic: there is no witness order to test
-     against, and the cycle is already reported. ---------------------- *)
+     against, and the cycle is already reported.
+
+     Only attempts that did not take effect are tested. An effective
+     attempt [a] is a node with the edge lo -> a (it read lo's version;
+     own writes are not reads, so lo <> a) and either a -> hi or hi = a
+     (hi overwrote a version it read), so a path hi ->* lo would close
+     a cycle, which Pass 3 reports. And every edge goes forward in
+     [pos], so the search for a path to [dst] never needs a node placed
+     after [dst]. ----------------------------------------------------- *)
   if not cyclic then begin
     let reachable src dst =
       if src = dst then true
@@ -449,7 +457,8 @@ let analyze ~profile (dump : Trace.dump) =
               List.iter
                 (fun v ->
                   if v = dst then found := true
-                  else if not (Hashtbl.mem seen v) then stack := v :: !stack)
+                  else if pos.(v) < pos.(dst) && not (Hashtbl.mem seen v)
+                  then stack := v :: !stack)
                 adj.(u)
             end
         done;
@@ -458,7 +467,7 @@ let analyze ~profile (dump : Trace.dump) =
     in
     Array.iter
       (fun a ->
-        if Hashtbl.length a.a_reads > 1 then begin
+        if (not (effective a)) && Hashtbl.length a.a_reads > 1 then begin
           (* lo: latest writer among observed versions; hi: earliest
              overwriter. Base versions (unknown writer) are valid from
              the start of time; versions never overwritten, to the end. *)

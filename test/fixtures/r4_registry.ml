@@ -1,7 +1,8 @@
 (* R4 fixture registry: registers the r4_helpers operations through
    profiled builders mirroring lib/core/operation.ml. "RO2" and "RO3"
-   declare read-only (no ~writes) but their run functions write — the
-   two expected profile-honesty findings. *)
+   declare read-only (no ~writes) and "RO4" through an empty ~writes
+   list, but their run functions write — the three expected
+   profile-honesty findings. *)
 
 type op = {
   code : string;
@@ -24,6 +25,7 @@ module Make (R : R4_helpers.R_sig) = struct
       op "RO1" ~reads:[ "cell" ] H.honest_reader;
       op "RO2" H.liar;
       op "RO3" H.index_liar;
+      op "RO4" ~writes:[] H.liar;
       op "UP1" ~writes:[ "cell" ] H.writer;
       structure "SM1" H.structural_write;
     ]

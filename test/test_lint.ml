@@ -49,7 +49,6 @@ let fixture_config : Lint_config.t =
     r4 =
       {
         r4_registry_units = [ "Lint_fixtures__R4_registry" ];
-        r4_ro_codes = [];
         r4_profiled_builders = [ "op" ];
         r4_structural_builders = [ "structure" ];
         r4_universe_prefixes = [ "Lint_fixtures__R4" ];
@@ -194,8 +193,9 @@ let contains ~sub s =
   n = 0 || at 0
 
 let test_r4_fires () =
-  (* RO2 (transitive R.write through deep_write) and RO3 (index .put). *)
-  check_count ~rule:"profile-honesty" ~file:"r4_registry.ml" 2
+  (* RO2 (transitive R.write through deep_write), RO3 (index .put) and
+     RO4 (RO2's writer behind an empty ~writes list). *)
+  check_count ~rule:"profile-honesty" ~file:"r4_registry.ml" 3
 
 let test_r4_findings_name_the_witness () =
   let r = Lazy.force result in
@@ -216,14 +216,20 @@ let test_r4_findings_name_the_witness () =
     (List.exists
        (fun m ->
          contains ~sub:"\"RO3\"" m && contains ~sub:".put" m)
+       msgs);
+  Alcotest.(check bool)
+    "an empty ~writes list is checked as read-only" true
+    (List.exists
+       (fun m ->
+         contains ~sub:"\"RO4\"" m && contains ~sub:"deep_write" m)
        msgs)
 
 let test_r4_honest_ops_clean () =
   let r = Lazy.force result in
-  (* Exactly the two liars: honest RO1, declared writer UP1 and the
+  (* Exactly the three liars: honest RO1, declared writer UP1 and the
      structural SM1 contribute nothing, nor does the helpers unit. *)
   Alcotest.(check int)
-    "no profile-honesty findings outside the registry" 2
+    "no profile-honesty findings outside the registry" 3
     (List.length
        (List.filter
           (fun (f : Lint_finding.t) -> f.rule = "profile-honesty")

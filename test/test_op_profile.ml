@@ -91,6 +91,25 @@ let test_every_benchmark_op_has_coherent_profile () =
           (p.P.reads <> [] || p.P.writes <> []))
     I.Operation.all
 
+(* The declaration is the one read-only fact; sb7-footprint gen
+   refuses a table that disagrees with it in either direction. This
+   checks the committed table against the declarations on every build,
+   so a [~writes] edit that breaks the agreement fails here. *)
+let test_declared_read_only_is_inferred_pure_read () =
+  let module I = Sb7_core.Instance.Make (Sb7_runtime.Seq_runtime) in
+  Alcotest.(check int) "45 operations" 45 (List.length I.Operation.all);
+  List.iter
+    (fun (op : I.Operation.t) ->
+      let pure_read =
+        match Sb7_core.Op_footprint.find op.code with
+        | Some e -> e.fp_writes = [] && not e.fp_structural
+        | None -> false
+      in
+      Alcotest.(check bool)
+        (op.code ^ " declared read-only = inferred pure-read")
+        pure_read (I.Operation.read_only op))
+    I.Operation.all
+
 let suite =
   [
     Alcotest.test_case "read_only classification" `Quick test_read_only;
@@ -105,6 +124,8 @@ let suite =
       test_assembly_levels_helper;
     Alcotest.test_case "all 45 profiles coherent" `Quick
       test_every_benchmark_op_has_coherent_profile;
+    Alcotest.test_case "declared read-only = inferred pure-read" `Quick
+      test_declared_read_only_is_inferred_pure_read;
   ]
 
 let () = Alcotest.run "op_profile" [ ("op_profile", suite) ]

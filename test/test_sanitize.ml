@@ -201,6 +201,38 @@ let test_concurrent_commits_no_false_positive () =
   check_clean "unordered concurrent commits"
     (Checker.analyze ~profile:stm_profile d)
 
+let test_snapshot_pass_linear_on_independent_chains () =
+  (* Two committed chains of writers, on tvars 1 and 2, one per
+     stream; a third stream of aborted readers, reader k seeing version
+     k of tvar 1 and version k+3 of tvar 2. The witness order
+     interleaves the chains, so every reader's window test raises a
+     suspicion, and the chains share no edge, so each is discarded. A
+     path search that walks the whole rest of chain 1 per reader is
+     quadratic; bounded by the target's position it is constant. *)
+  let n = 5_000 in
+  let chain sid base =
+    List.init n (fun i ->
+        let k = i + 1 in
+        let prev = if k = 1 then 0 else base + k - 1 in
+        [ begin_ (2 * k); write_ sid (base + k) prev; commit ((2 * k) + 1) ])
+    |> List.concat
+  in
+  let readers =
+    List.init (n - 3) (fun i ->
+        let k = i + 1 in
+        [ begin_ (2 * k); read_ 1 k; read_ 2 (n + k + 3) ])
+    |> List.concat
+  in
+  let d = dump [ chain 1 0; chain 2 n; readers ] in
+  let t0 = Sys.time () in
+  let v = Checker.analyze ~profile:stm_profile d in
+  let took = Sys.time () -. t0 in
+  check_clean "independent chains" v;
+  Alcotest.(check int) "every reader aborted" (n - 3) v.Checker.aborted;
+  Alcotest.(check bool)
+    (Printf.sprintf "analysis took %.2f s (bound 1 s)" took)
+    true (took < 1.)
+
 (* -- Partial aborts (checkpoint rollback) on hand-built streams ----- *)
 
 let test_partial_rollback_discards_stale_read () =
@@ -703,6 +735,8 @@ let () =
             test_partial_rollback_oversalvage_flagged;
           Alcotest.test_case "partial rollback discards write" `Quick
             test_partial_rollback_discards_write;
+          Alcotest.test_case "snapshot pass linear on independent chains"
+            `Quick test_snapshot_pass_linear_on_independent_chains;
         ] );
       ( "lockset",
         [
