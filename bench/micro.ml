@@ -12,14 +12,14 @@ let setup = lazy (I.Setup.create ~seed:42 P.tiny)
 
 let op_test code =
   let rng = Sb7_core.Sb_random.create ~seed:13 in
+  let op =
+    match I.Operation.by_code code with
+    | Some op -> op
+    | None -> assert false
+  in
   Test.make ~name:code
     (Staged.stage (fun () ->
          let setup = Lazy.force setup in
-         let op =
-           match I.Operation.by_code code with
-           | Some op -> op
-           | None -> assert false
-         in
          match op.I.Operation.run rng setup with
          | (_ : int) -> ()
          | exception Sb7_core.Common.Operation_failed _ -> ()))

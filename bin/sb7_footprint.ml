@@ -3,9 +3,9 @@
 
     [gen] emits the contents of lib/core/op_footprint.ml (the committed
     table the sanitizer's footprint replay checks runs against) and
-    refuses a table whose inferred pure-read set differs from the
-    declared read-only profiles; [matrix] prints the 45x45 operation
-    conflict matrix as text, JSON or Graphviz dot. See
+    refuses on an unattributed write or on the profile verdict lint R4
+    reports; [matrix] prints the 45x45 operation conflict matrix as
+    text, JSON or Graphviz dot, and refuses on the same. See
     docs/FOOTPRINT.md. *)
 
 open Cmdliner
@@ -29,42 +29,23 @@ let load paths =
   end;
   List.sort (fun a b -> compare a.F.fp_code b.F.fp_code) fps
 
-(* Fail generation (and let [matrix] report) on the invariants the
-   table must satisfy: every write attributed to a region, and the
-   inferred pure-read set equal to the declared read-only set, the one
-   read-only fact STM dispatch and lint R4 read. *)
-let violations fps =
-  List.concat_map
-    (fun fp ->
-      let v = [] in
-      let v =
-        if fp.F.fp_unresolved then
-          Printf.sprintf
-            "%s: run function %s performs a write that could not be \
-             attributed to any region"
-            fp.F.fp_code fp.F.fp_run_name
-          :: v
-        else v
-      in
-      if fp.F.fp_declared_ro && fp.F.fp_writes <> [] then
-        Printf.sprintf
-          "%s: declared read-only (R4-checked) but inference attributes \
-           writes to %s — region table or inference is wrong"
-          fp.F.fp_code
-          (String.concat ", " (List.map F.region_to_string fp.F.fp_writes))
-        :: v
-      else if F.pure_read fp && not (fp.F.fp_declared_ro || fp.F.fp_unresolved)
-      then
-        Printf.sprintf
-          "%s: inferred pure-read but its profile declares writes — drop \
-           the ~writes clause so it takes the read-only path"
-          fp.F.fp_code
-        :: v
-      else v)
-    fps
-
+(* Refuse the table on the invariants it must satisfy: every write
+   attributed to a region, and every declared profile honest by the
+   verdict lint R4 reports ([Footprint.profile_violations]). *)
 let check_violations fps =
-  match violations fps with
+  let unresolved =
+    List.filter_map
+      (fun fp ->
+        if fp.F.fp_unresolved then
+          Some
+            (Printf.sprintf
+               "%s: run function %s performs a write that could not be \
+                attributed to any region"
+               fp.F.fp_code fp.F.fp_run_name)
+        else None)
+      fps
+  in
+  match List.map snd (F.profile_violations fps) @ unresolved with
   | [] -> ()
   | vs ->
     List.iter (fun v -> Printf.eprintf "sb7-footprint: %s\n" v) vs;
@@ -276,8 +257,8 @@ let gen_cmd =
   let doc =
     "emit lib/core/op_footprint.ml to stdout: the per-operation region \
      table read by the sanitizer's footprint replay; exit 2 when a write \
-     is unattributed or the inferred pure-read set differs from the \
-     declared read-only profiles"
+     is unattributed or a declared profile is dishonest (the verdict lint \
+     R4 reports)"
   in
   Cmd.v (Cmd.info "gen" ~doc) Term.(const gen $ paths_arg)
 
@@ -304,8 +285,9 @@ let cmd =
          registered operation may read and write; prints the pairwise \
          conflict matrix and generates the table consumed by the \
          sanitizer's footprint replay (lib/core/op_footprint.ml). Both \
-         fail (exit 2) when an operation declared read-only is inferred \
-         to write, or one inferred pure-read declares writes.";
+         fail (exit 2) when an operation declared read-only reaches a \
+         write, or one that reaches no write declares writes: the \
+         verdict lint R4 reports.";
     ]
   in
   Cmd.group (Cmd.info "sb7_footprint" ~version:"1.0" ~doc ~man)

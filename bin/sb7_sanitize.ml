@@ -93,7 +93,10 @@ let check threads length scale seed dir =
     (fun (name, _) ->
       (* seq provides no synchronization: concurrent domains would race
          by design, so it is validated single-threaded only. *)
-      let threads = if String.equal name "seq" then 1 else threads in
+      let threads =
+        if String.equal name Sb7_runtime.Registry.single_domain then 1
+        else threads
+      in
       let cfg = config ~threads ~length ~scale ~seed in
       match Sb7_harness.Driver.run ~runtime_name:name cfg with
       | Error e ->

@@ -22,10 +22,16 @@ let () =
   for round = 1 to rounds do
     Format.printf "@.round %d:@." round;
     let report =
-      Sb7_harness.Soak.run ~threads ~ops_per_thread ~seed:(42 + round)
-        ~progress:(fun c ->
-          Format.printf "  %a@." Sb7_harness.Soak.pp_cycle c)
-        ()
+      match
+        Sb7_harness.Soak.run ~threads ~ops_per_thread ~seed:(42 + round)
+          ~progress:(fun c ->
+            Format.printf "  %a@." Sb7_harness.Soak.pp_cycle c)
+          ()
+      with
+      | Ok report -> report
+      | Error e ->
+        Format.eprintf "error: %s@." e;
+        exit 2
     in
     if not report.Sb7_harness.Soak.clean then all_clean := false;
     Format.printf "round %d: %d operations, %s@." round

@@ -1,9 +1,10 @@
-(** Whole-program value-granular escape graph, the substrate shared by
-    rule R7 (domain-escape) and rule R4 (profile honesty).
+(** Whole-program value-granular escape graph, the substrate of rule
+    R7 (domain-escape). Its structure-flattening and module-alias
+    helpers are shared with the footprint inference ({!Footprint}).
 
     One walk per compilation unit produces a {!summary}: for every
     structure-level binding (functor bodies and nested modules
-    flattened, as in R4), the set of value references it makes to other
+    flattened), the set of value references it makes to other
     bindings, the mutable-state accesses it performs, and the
     [Domain.spawn] sites it contains. Each closure passed to
     [Domain.spawn] becomes a pseudo-binding — a {e spawn root} — whose
@@ -43,7 +44,7 @@
 
 open Typedtree
 
-(* --- Structure flattening (moved from rule_r4, shared with it) --- *)
+(* --- Structure flattening, shared with the footprint inference --- *)
 
 let rec last_component = function
   | Path.Pident id -> Ident.name id
@@ -143,8 +144,6 @@ type binding = {
   mutable b_refs : (string * string) list;  (** (unit, binding) edges *)
   mutable b_accesses : access list;
   mutable b_spawns : Location.t list;
-  mutable b_r4_writes : (string * Location.t) list;
-      (** (description, site) of configured transactional writes, for R4 *)
 }
 
 type summary = {
@@ -156,8 +155,6 @@ type summary = {
 
 type build_config = {
   bc_units : (string, unit) Hashtbl.t;  (** loaded unit names *)
-  bc_write_idents : string list;  (** R4: transactional write identifiers *)
-  bc_write_fields : string list;  (** R4: index-mutator fields *)
   bc_acquire_helpers : (string * string) list;
       (** module-local acquire helper -> lock-class name (from the R3
           spec of the unit being built, when it has one) *)
@@ -213,7 +210,7 @@ type env = {
 
 let binding_for st name loc =
   match Hashtbl.find_opt st.bindings name with
-  | Some b -> b (* same name in sibling scope: merge, as R4 does *)
+  | Some b -> b (* same name in sibling scope: merge *)
   | None ->
     let b =
       {
@@ -223,7 +220,6 @@ let binding_for st name loc =
         b_refs = [];
         b_accesses = [];
         b_spawns = [];
-        b_r4_writes = [];
       }
     in
     Hashtbl.add st.bindings name b;
@@ -339,30 +335,25 @@ let add_access st env ~kind ~what ~loc target_expr =
         record ~spawn_loc ~post_spawn:true target
       | _ -> record target))
 
-let note_ref st env p loc =
-  let name = Path.name p in
-  if List.mem name st.cfg.bc_write_idents then
-    env.e_binding.b_r4_writes <- (name, loc) :: env.e_binding.b_r4_writes
-  else
-    match Cmt_unit.resolve_ref ~units:st.cfg.bc_units p with
-    | Some target ->
-      env.e_binding.b_refs <- (target, last_component p) :: env.e_binding.b_refs
-    | None -> (
-      match p with
-      | Path.Pdot (Path.Pident m, field) -> (
-        match Hashtbl.find_opt st.aliases (Ident.name m) with
-        | Some target ->
-          env.e_binding.b_refs <- (target, field) :: env.e_binding.b_refs
-        | None ->
-          if Hashtbl.mem st.bindings field then
-            env.e_binding.b_refs <-
-              (st.unit_name, field) :: env.e_binding.b_refs)
-      | Path.Pident id -> (
-        match Hashtbl.find_opt st.toplevel id with
-        | Some key ->
-          env.e_binding.b_refs <- (st.unit_name, key) :: env.e_binding.b_refs
-        | None -> ())
-      | _ -> ())
+let note_ref st env p =
+  match Cmt_unit.resolve_ref ~units:st.cfg.bc_units p with
+  | Some target ->
+    env.e_binding.b_refs <- (target, last_component p) :: env.e_binding.b_refs
+  | None -> (
+    match p with
+    | Path.Pdot (Path.Pident m, field) -> (
+      match Hashtbl.find_opt st.aliases (Ident.name m) with
+      | Some target ->
+        env.e_binding.b_refs <- (target, field) :: env.e_binding.b_refs
+      | None ->
+        if Hashtbl.mem st.bindings field then
+          env.e_binding.b_refs <- (st.unit_name, field) :: env.e_binding.b_refs)
+    | Path.Pident id -> (
+      match Hashtbl.find_opt st.toplevel id with
+      | Some key ->
+        env.e_binding.b_refs <- (st.unit_name, key) :: env.e_binding.b_refs
+      | None -> ())
+    | _ -> ())
 
 (* Name of the lock denoted by a lock-operation argument. *)
 let lock_name (e : expression) =
@@ -383,12 +374,8 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 let rec walk st env (e : expression) =
   match e.exp_desc with
-  | Texp_ident (p, _, _) -> note_ref st env p e.exp_loc
+  | Texp_ident (p, _, _) -> note_ref st env p
   | Texp_field (base, _, lbl) ->
-    if List.mem lbl.Types.lbl_name st.cfg.bc_write_fields then
-      env.e_binding.b_r4_writes <-
-        ("index mutation ." ^ lbl.Types.lbl_name, e.exp_loc)
-        :: env.e_binding.b_r4_writes;
     (if lbl.Types.lbl_mut = Asttypes.Mutable then
        match resolve st env base with
        | `Target ((Global _ | Captured _) as target) ->

@@ -1,7 +1,10 @@
-(** sb7-footprint — static may-read / may-write footprint inference.
+(** sb7-footprint — static may-read / may-write footprint inference,
+    and the one analysis of what an operation writes.
 
-    Where rule R4 answers the boolean question "can this declared
-    read-only operation reach a write at all?", this pass answers the
+    For every registered operation this pass answers two questions.
+    The boolean one — can a declared-read-only operation reach a write
+    at all? — is {!profile_violations}, the verdict lint rule R4
+    reports and [sb7-footprint gen] / [matrix] refuse on. The
     quantitative one: {e which parts of the OO7 structure} can each of
     the 45 registered operations read and write. Footprints are
     computed over a six-element abstract-region lattice — indexes (the
@@ -12,17 +15,20 @@
     every tvar at creation time by [Region_ctx] and cross-checked
     dynamically by the sanitizer's footprint replay.
 
-    The inference extends R4's value-granular reference graph:
+    The inference works on a value-granular reference graph over the
+    core's top-level bindings (functor bodies and nested structures
+    included), resolving chains of local module aliases across units:
 
-    1. Every top-level binding of the core universe (functor bodies
-       included) gets a local footprint: a field projection whose label
-       is region-mapped ([ap_build_date], [cp_used_in], ...) is
+    1. Every binding gets a local footprint: a field projection whose
+       label is region-mapped ([ap_build_date], [cp_used_in], ...) is
        evidence of reading that region; an application of the runtime
        write primitive ([R.write]) whose tvar argument contains a
        region-mapped projection writes that region; projecting an
        index-record mutator ([.put] / [.remove]) writes the Indexes
        region, an accessor ([.get] / [.range] / [.iter] / [.size])
-       reads it.
+       reads it. Each binding also records its first {e write site}:
+       an [R.write], applied or merely mentioned, or an index-mutator
+       projection.
     2. An [R.write] whose tvar argument carries no mapped projection
        writes {e some caller-supplied} tvar — the binding is a
        {e generic writer} ([Bag.add], [update_build_date_tvar]). A
@@ -31,14 +37,20 @@
        arguments writes those regions; a call forwarding a bare
        identifier makes the caller a generic writer in turn.
     3. An operation's footprint is the union over every binding
-       reachable from its run function in the reference graph.
+       reachable from its run function in the reference graph, and its
+       witness the first write site reached.
 
     Approximations are on the strict (over-approximating) side: any
     mapped projection counts as a read even if the field is immutable;
-    all projected regions of a generic-writer call count as written.
-    An operation left with an unattributable residual write is
-    reported [fp_unresolved] — the generator refuses to emit a table
-    containing one. *)
+    all projected regions of a generic-writer call count as written;
+    referencing a writing closure counts as writing even if the
+    reference is never called; bindings of the same name in sibling
+    nested modules of one unit are merged. An operation left with an
+    unattributable residual write is reported [fp_unresolved] — the
+    generator refuses to emit a table containing one. A write reached
+    only through a closure parameter (not a named value) is the one
+    shape the graph cannot see; the runtime demotion in [Ro_dispatch]
+    is the backstop for it. *)
 
 open Typedtree
 
@@ -89,13 +101,14 @@ let mask_regions m = List.filter (mask_mem m) all_regions
 type config = {
   fp_registry : Lint_config.r4;
       (** registry units, builders, universe and write primitive: the
-          scope of lint rule R4, read through its one registry scan *)
+          scope lint rule R4 reports on *)
   fp_field_regions : (string * region) list;
       (** object-field label -> region of the containing object *)
   fp_read_fields : (string * region) list;
       (** container-accessor field -> region read when projected *)
   fp_write_fields : (string * region) list;
-      (** container-mutator field -> region written when projected *)
+      (** container-mutator field -> region written when projected: the
+          one list of index mutators *)
 }
 
 (** The repository configuration: R4's registry scope, and region
@@ -137,6 +150,116 @@ let default =
     fp_write_fields = [ ("put", Indexes); ("remove", Indexes) ];
   }
 
+(* --- The registry scan --- *)
+
+type registration = {
+  reg_code : string;
+  reg_structural : bool;  (** built by one of [r4_structural_builders] *)
+  reg_has_writes : bool;
+      (** a [~writes] argument other than [None] or [[]] was passed *)
+  reg_run : Path.t;  (** the run function as written; unresolved *)
+  reg_loc : Location.t;
+}
+
+let const_string e =
+  match e.exp_desc with
+  | Texp_constant (Const_string (s, _, _)) -> Some s
+  | _ -> None
+
+let is_construct name e =
+  match e.exp_desc with
+  | Texp_construct (_, cd, _) -> cd.Types.cstr_name = name
+  | _ -> false
+
+(* Unwrap the [Some e] the typechecker inserts when an optional
+   argument is passed with [~label:e]. *)
+let unwrap_option_arg e =
+  match e.exp_desc with
+  | Texp_construct (_, { Types.cstr_name = "Some"; _ }, [ inner ]) -> inner
+  | _ -> e
+
+(* Every application of a profiled or structural builder in a registry
+   unit: the first positional string literal is the operation code,
+   the last positional identifier its run function. An operation is
+   declared read-only when a non-structural builder gets no [~writes]
+   argument or an empty one ([~writes:[]]), as [Op_profile.read_only]
+   reads it. *)
+let registrations (config : Lint_config.r4) (u : Cmt_unit.t) =
+  let ops = ref [] in
+  let handle_apply fn args loc =
+    match fn.exp_desc with
+    | Texp_ident (p, _, _) ->
+      let builder = Escape_graph.last_component p in
+      let structural = List.mem builder config.r4_structural_builders in
+      if structural || List.mem builder config.r4_profiled_builders then begin
+        let code =
+          List.find_map
+            (fun (label, arg) ->
+              match (label, arg) with
+              | Asttypes.Nolabel, Some a -> const_string a
+              | _ -> None)
+            args
+        in
+        let has_writes =
+          List.exists
+            (fun (label, arg) ->
+              (match label with
+              | Asttypes.Labelled s | Asttypes.Optional s -> s = "writes"
+              | Asttypes.Nolabel -> false)
+              &&
+              match arg with
+              | Some a ->
+                not
+                  (is_construct "None" a
+                  || is_construct "[]" (unwrap_option_arg a))
+              | None -> false)
+            args
+        in
+        let run =
+          List.fold_left
+            (fun acc (label, arg) ->
+              match (label, arg) with
+              | Asttypes.Nolabel, Some a -> (
+                match (unwrap_option_arg a).exp_desc with
+                | Texp_ident (rp, _, _) -> Some rp
+                | _ -> acc)
+              | _ -> acc)
+            None args
+        in
+        match (code, run) with
+        | Some code, Some rp ->
+          ops :=
+            {
+              reg_code = code;
+              reg_structural = structural;
+              reg_has_writes = has_writes;
+              reg_run = rp;
+              reg_loc = loc;
+            }
+            :: !ops
+        | _ -> ()
+      end
+    | _ -> ()
+  in
+  let iter =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          (match e.exp_desc with
+          | Texp_apply (fn, args) -> handle_apply fn args e.exp_loc
+          | _ -> ());
+          Tast_iterator.default_iterator.expr sub e);
+    }
+  in
+  iter.structure iter u.Cmt_unit.structure;
+  List.rev !ops
+
+let in_universe (config : Lint_config.r4) unit_name =
+  List.exists
+    (fun p -> String.starts_with ~prefix:p unit_name)
+    config.r4_universe_prefixes
+
 (* --- Per-binding footprint info --- *)
 
 type finfo = {
@@ -149,7 +272,15 @@ type finfo = {
   mutable f_calls : ((string * string) * int * bool) list;
       (** (callee, region mask of projected args, forwards a bare
           identifier) — for generic-writer attribution *)
+  mutable f_site : (string * Location.t) option;
+      (** (description, site) of the first write site: an [R.write],
+          applied or merely mentioned, or an index-mutator projection *)
 }
+
+let find_info infos (unit_name, value) =
+  match Hashtbl.find_opt infos unit_name with
+  | None -> None
+  | Some bindings -> Hashtbl.find_opt bindings value
 
 (* Region mask of every mapped field projection syntactically inside
    [e] (object fields only: container accessors are handled at the
@@ -185,13 +316,29 @@ let path_components p =
   in
   parts [] p
 
-(* Resolve an expression path to a (unit, value) reference. Unlike
-   R4's single-level scheme this chases {e chains} of module aliases
-   across units ([S.B.add] where [module S = Setup.Make (R)] locally
-   and [module B = Bag.Make (R)] inside setup.ml resolves to
-   [Sb7_core__Bag.add]) — without it the bag writes of SM3/SM4 would
-   silently vanish from their footprints. [alias_tables] maps each
-   universe unit to its local-module-alias table. *)
+(* A unit's local module aliases, plus each of its own structure
+   submodules mapped to the unit itself: their bindings are flattened
+   into the unit's table, so [M.f] resolves to the unit's [f]. *)
+let alias_table ~units (u : Cmt_unit.t) =
+  let tbl = Escape_graph.collect_aliases ~units u.Cmt_unit.structure in
+  Escape_graph.walk_structure
+    ~on_item:(fun _ -> ())
+    ~on_module:(fun name m ->
+      match m.mod_desc with
+      | Tmod_structure _
+      | Tmod_constraint ({ mod_desc = Tmod_structure _; _ }, _, _, _)
+        when not (Hashtbl.mem tbl name) ->
+        Hashtbl.replace tbl name u.Cmt_unit.name
+      | _ -> ())
+    u.Cmt_unit.structure;
+  tbl
+
+(* Resolve an expression path to a (unit, value) reference, chasing
+   {e chains} of module aliases across units ([S.B.add] where
+   [module S = Setup.Make (R)] locally and [module B = Bag.Make (R)]
+   inside setup.ml resolves to [Sb7_core__Bag.add]) — without it the
+   bag writes of SM3/SM4 would silently vanish from their footprints.
+   [alias_tables] maps each universe unit to its {!alias_table}. *)
 let resolve_value ~units ~alias_tables ~unit_name p =
   let rec chase current_unit = function
     | [] -> None
@@ -234,6 +381,9 @@ let analyze_binding config ~units ~alias_tables ~unit_name expr (v : finfo) =
       | Some edge -> v.f_refs <- edge :: v.f_refs
       | None -> ()
   in
+  let note_site what loc =
+    if v.f_site = None then v.f_site <- Some (what, loc)
+  in
   let positional_args args =
     List.filter_map
       (fun (label, arg) ->
@@ -246,11 +396,12 @@ let analyze_binding config ~units ~alias_tables ~unit_name expr (v : finfo) =
       expr =
         (fun sub e ->
           match e.exp_desc with
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
+          | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args)
             when is_write_ident p ->
             (* The write target is the first positional argument; skip
                the head identifier so the bare-mention case below does
                not also fire. *)
+            note_site (Path.name p) fn.exp_loc;
             (match positional_args args with
             | target :: _ ->
               let m = projection_mask config target in
@@ -278,10 +429,12 @@ let analyze_binding config ~units ~alias_tables ~unit_name expr (v : finfo) =
               (fun (_, arg) -> Option.iter (sub.Tast_iterator.expr sub) arg)
               args
           | Texp_ident (p, _, _) ->
-            if is_write_ident p then
+            if is_write_ident p then begin
               (* [R.write] mentioned but not applied (partial
                  application, passed as a value): target unknowable. *)
+              note_site (Path.name p) e.exp_loc;
               v.f_generic <- true
+            end
             else note_ref p
           | Texp_field (inner, _, lbl) ->
             let name = lbl.Types.lbl_name in
@@ -292,7 +445,9 @@ let analyze_binding config ~units ~alias_tables ~unit_name expr (v : finfo) =
             | Some r -> v.f_reads <- v.f_reads lor bit r
             | None -> ());
             (match List.assoc_opt name config.fp_write_fields with
-            | Some r -> v.f_writes <- v.f_writes lor bit r
+            | Some r ->
+              note_site ("index mutation ." ^ name) e.exp_loc;
+              v.f_writes <- v.f_writes lor bit r
             | None -> ());
             sub.Tast_iterator.expr sub inner
           | _ -> Tast_iterator.default_iterator.expr sub e);
@@ -323,6 +478,7 @@ let unit_info config ~units ~alias_tables (u : Cmt_unit.t) =
                       f_writes = 0;
                       f_generic = false;
                       f_calls = [];
+                      f_site = None;
                     }
                   in
                   Hashtbl.add bindings name v;
@@ -342,11 +498,6 @@ let unit_info config ~units ~alias_tables (u : Cmt_unit.t) =
    propagate the generic flag through bare-identifier forwarding,
    until stable. *)
 let resolve_generics infos =
-  let lookup (unit_name, value) =
-    match Hashtbl.find_opt infos unit_name with
-    | None -> None
-    | Some bindings -> Hashtbl.find_opt bindings value
-  in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -356,7 +507,7 @@ let resolve_generics infos =
           (fun _ (v : finfo) ->
             List.iter
               (fun (callee, m, raw) ->
-                match lookup callee with
+                match find_info infos callee with
                 | Some c when c.f_generic ->
                   if m <> 0 && v.f_writes lor m <> v.f_writes then begin
                     v.f_writes <- v.f_writes lor m;
@@ -376,8 +527,17 @@ let resolve_generics infos =
 
 (* --- Reachability closure --- *)
 
+(** The first write site reachable from a run function, for messages. *)
+type witness = {
+  w_unit : string;
+  w_value : string;  (** the binding holding the site *)
+  w_what : string;  (** ["R.write"] or ["index mutation .put"] *)
+  w_loc : Location.t;
+}
+
 type op_footprint = {
   fp_code : string;
+  fp_unit : string;  (** the registry unit *)
   fp_structural : bool;
   fp_declared_ro : bool;
   fp_run_name : string;
@@ -385,33 +545,38 @@ type op_footprint = {
   fp_writes : region list;
   fp_unresolved : bool;
       (** a reachable residual generic write survived the fixpoint *)
+  fp_witness : witness option;
+      (** first write site reachable from the run function, attributed
+          to a region or not *)
   fp_loc : Location.t;
 }
 
 (* Union of the local footprints of every binding reachable from
-   [start]. A reachable generic-writer {e leaf} ([Bag.add]) is fine —
-   the fixpoint attributed its write at the call sites above it; only
-   the flag on the root itself (checked by the caller) means a write
-   escaped attribution. *)
+   [start], and the first write site in depth-first preorder. A
+   reachable generic-writer {e leaf} ([Bag.add]) is fine for the
+   footprint — the fixpoint attributed its write at the call sites
+   above it; only the flag on the root itself (checked by the caller)
+   means a write escaped attribution. *)
 let closure infos start =
   let visited = Hashtbl.create 64 in
-  let reads = ref 0 and writes = ref 0 in
-  let rec go (unit_name, value) =
-    if not (Hashtbl.mem visited (unit_name, value)) then begin
-      Hashtbl.add visited (unit_name, value) ();
-      match Hashtbl.find_opt infos unit_name with
+  let reads = ref 0 and writes = ref 0 and witness = ref None in
+  let rec go ((unit_name, value) as key) =
+    if not (Hashtbl.mem visited key) then begin
+      Hashtbl.add visited key ();
+      match find_info infos key with
       | None -> ()
-      | Some bindings -> (
-        match Hashtbl.find_opt bindings value with
-        | None -> ()
-        | Some (v : finfo) ->
-          reads := !reads lor v.f_reads;
-          writes := !writes lor v.f_writes;
-          List.iter go (List.rev v.f_refs))
+      | Some (v : finfo) ->
+        reads := !reads lor v.f_reads;
+        writes := !writes lor v.f_writes;
+        (match (!witness, v.f_site) with
+        | None, Some (w_what, w_loc) ->
+          witness := Some { w_unit = unit_name; w_value = value; w_what; w_loc }
+        | _ -> ());
+        List.iter go (List.rev v.f_refs)
     end
   in
   go start;
-  (!reads, !writes)
+  (!reads, !writes, !witness)
 
 (** Infer the footprint of every operation registered in the
     configured registry units. [fp_unresolved] is set when the
@@ -421,7 +586,7 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
   let units = Hashtbl.create 64 in
   List.iter (fun u -> Hashtbl.replace units u.Cmt_unit.name ()) all_units;
   let registry = config.fp_registry in
-  let in_universe = Rule_r4.in_universe registry in
+  let in_universe = in_universe registry in
   let is_registry name = List.mem name registry.Lint_config.r4_registry_units in
   let relevant name = in_universe name || is_registry name in
   (* Alias tables first, for all relevant units, so the resolver can
@@ -430,8 +595,7 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
   List.iter
     (fun u ->
       if relevant u.Cmt_unit.name then
-        Hashtbl.replace alias_tables u.Cmt_unit.name
-          (Escape_graph.collect_aliases ~units u.Cmt_unit.structure))
+        Hashtbl.replace alias_tables u.Cmt_unit.name (alias_table ~units u))
     all_units;
   let infos = Hashtbl.create 32 in
   List.iter
@@ -441,31 +605,24 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
           (unit_info config ~units ~alias_tables u))
     all_units;
   resolve_generics infos;
-  let root_generic (unit_name, value) =
-    match Hashtbl.find_opt infos unit_name with
-    | None -> false
-    | Some bindings -> (
-      match Hashtbl.find_opt bindings value with
-      | None -> false
-      | Some v -> v.f_generic)
-  in
   List.concat_map
     (fun u ->
-      if not (is_registry u.Cmt_unit.name) then []
+      let unit_name = u.Cmt_unit.name in
+      if not (is_registry unit_name) then []
       else
         List.map
-          (fun (reg : Rule_r4.registration) ->
+          (fun reg ->
             let run =
-              resolve_value ~units ~alias_tables ~unit_name:u.Cmt_unit.name
-                reg.reg_run
+              resolve_value ~units ~alias_tables ~unit_name reg.reg_run
             in
-            let reads, writes =
+            let reads, writes, witness =
               match run with
               | Some target -> closure infos target
-              | None -> (0, 0)
+              | None -> (0, 0, None)
             in
             {
               fp_code = reg.reg_code;
+              fp_unit = unit_name;
               fp_structural = reg.reg_structural;
               fp_declared_ro =
                 (not reg.reg_has_writes) && not reg.reg_structural;
@@ -475,11 +632,51 @@ let infer ?(config = default) (all_units : Cmt_unit.t list) =
               fp_unresolved =
                 (match run with
                 | None -> true
-                | Some target -> root_generic target);
+                | Some target -> (
+                  match find_info infos target with
+                  | Some v -> v.f_generic
+                  | None -> false));
+              fp_witness = witness;
               fp_loc = reg.reg_loc;
             })
-          (Rule_r4.registrations registry u))
+          (registrations registry u))
     all_units
+
+(* --- The profile verdict --- *)
+
+(** Every operation whose declared profile the inference contradicts,
+    with its message: a declared-read-only operation that reaches any
+    write site, attributed to a region or not, would run a writer down
+    the read-only path; a declared-update operation that reaches no
+    write site and leaves no unresolved write should drop its
+    [~writes] clause and take that path. Lint R4 reports each at its
+    registration site; [sb7-footprint gen] and [matrix] refuse on
+    them. *)
+let profile_violations fps =
+  List.filter_map
+    (fun fp ->
+      match fp.fp_witness with
+      | Some w when fp.fp_declared_ro ->
+        let pos = w.w_loc.Location.loc_start in
+        Some
+          ( fp,
+            Printf.sprintf
+              "operation %S: profile declares read-only (no ~writes) but its \
+               run function %s reaches %s in %s.%s (%s:%d) — fix the profile \
+               or the operation"
+              fp.fp_code fp.fp_run_name w.w_what w.w_unit w.w_value
+              pos.Lexing.pos_fname pos.Lexing.pos_lnum )
+      | None
+        when not (fp.fp_declared_ro || fp.fp_structural || fp.fp_unresolved) ->
+        Some
+          ( fp,
+            Printf.sprintf
+              "operation %S: profile declares writes but its run function %s \
+               reaches no write — drop the ~writes clause so it takes the \
+               read-only path"
+              fp.fp_code fp.fp_run_name )
+      | _ -> None)
+    fps
 
 (* --- Conflict classification --- *)
 

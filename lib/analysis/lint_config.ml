@@ -62,14 +62,15 @@ type r3_spec = {
           [Condition.wait]) anywhere in the module *)
 }
 
-(** Scope of rule R4 (profile honesty): operations registered in
+(** Scope of rule R4 (profile honesty) and of the footprint inference
+    (sb7-footprint), which decides it: operations registered in
     [r4_registry_units] by one of [r4_profiled_builders] with no (or an
-    empty) [~writes] argument are declared read-only; their run function must
-    not reach a configured write identifier or index-mutator field
-    through the value-reference graph of units matching
-    [r4_universe_prefixes]. An empty [r4_registry_units] disables the
-    rule. The footprint inference (sb7-footprint) reads the registry
-    through the same scope. *)
+    empty) [~writes] argument are declared read-only, and their run
+    function must not reach a write site — a configured write
+    identifier, or an index mutator of [Footprint.config.fp_write_fields]
+    — through the value-reference graph of units matching
+    [r4_universe_prefixes]; a declared writer must reach one. An empty
+    [r4_registry_units] disables the rule. *)
 type r4 = {
   r4_registry_units : string list;
   r4_profiled_builders : string list;
@@ -83,8 +84,6 @@ type r4 = {
   r4_write_idents : string list;
       (** fully-qualified identifiers that perform a transactional
           write (as printed by [Path.name], e.g. ["R.write"]) *)
-  r4_write_fields : string list;
-      (** record fields whose projection is an index mutation *)
 }
 
 (** Scope of rule R6 (tvar-escape): inside function literals passed to
@@ -327,8 +326,6 @@ let default =
         (* The sync-free core only ever writes through the runtime
            functor parameter, uniformly named R. *)
         r4_write_idents = [ "R.write" ];
-        (* Index mutators on the first-class index record. *)
-        r4_write_fields = [ "put"; "remove" ];
       };
     r5 =
       {

@@ -10,8 +10,11 @@
        in scope for the unit (R1, R1-dls, R2, R5, R6) plus R3's
        per-spec check for the three lock runtimes;
     3. an {b escape-graph} build ({!Escape_graph.build}) for units in
-       the R4 universe or R7 scope — one value-granular summary shared
-       by both whole-program rules.
+       R7's scope, the value-granular summaries R7 checks.
+
+    R4 reports the footprint inference's profile verdict
+    ({!Footprint.profile_violations}), which reads the typed ASTs on
+    its own.
 
     With [?clock] (the [--timing] flag) each stage's wall-clock is
     accumulated into [result.timings]. *)
@@ -207,27 +210,22 @@ let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
       | Some spec -> timed "R3" (fun () -> raw := Rule_r3.check spec u @ !raw)
       | None -> ())
     units;
-  (* Pass 3: the escape graph shared by R4 and R7. *)
-  let r4_on = config.Lint_config.r4.Lint_config.r4_registry_units <> [] in
-  let r7_on = config.Lint_config.r7.Lint_config.r7_prefixes <> [] in
-  let summaries = Hashtbl.create 32 in
-  if r4_on || r7_on then
+  (* R4: the footprint inference's profile verdict. *)
+  if config.Lint_config.r4.Lint_config.r4_registry_units <> [] then
+    timed "R4" (fun () ->
+        raw := Rule_r4.check config.Lint_config.r4 units @ !raw);
+  (* Pass 3: R7's escape graph. *)
+  if config.Lint_config.r7.Lint_config.r7_prefixes <> [] then begin
+    let summaries = Hashtbl.create 32 in
     timed "escape-graph" (fun () ->
         List.iter
           (fun u ->
             let name = u.Cmt_unit.name in
-            if
-              (r7_on && Lint_config.in_r7_scope config name)
-              || (r4_on && Rule_r4.in_universe config.Lint_config.r4 name)
-            then begin
+            if Lint_config.in_r7_scope config name then begin
               let spec = Lint_config.spec_for config name in
               let bc =
                 {
                   Escape_graph.bc_units = unit_names;
-                  bc_write_idents =
-                    config.Lint_config.r4.Lint_config.r4_write_idents;
-                  bc_write_fields =
-                    config.Lint_config.r4.Lint_config.r4_write_fields;
                   bc_acquire_helpers =
                     (match spec with
                     | Some s -> s.Lint_config.r3_acquire_helpers
@@ -241,19 +239,9 @@ let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
               Hashtbl.replace summaries name (Escape_graph.build bc u)
             end)
           units);
-  if r4_on then
-    timed "R4" (fun () ->
-        raw :=
-          Rule_r4.check config.Lint_config.r4 ~units:unit_names ~summaries
-            units
-          @ !raw);
-  if r7_on then
     timed "R7" (fun () ->
-        raw :=
-          Rule_r7.check config.Lint_config.r7
-            ~in_scope:(Lint_config.in_r7_scope config)
-            summaries
-          @ !raw);
+        raw := Rule_r7.check config.Lint_config.r7 summaries @ !raw)
+  end;
   let raw = List.sort Lint_finding.compare !raw in
   (* Apply suppression comments, reading each source file once. *)
   let tables = Hashtbl.create 16 in

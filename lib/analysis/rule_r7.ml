@@ -57,11 +57,8 @@ let allowlisted (cfg : Lint_config.r7) ~unit_name ~binding =
         || String.starts_with ~prefix:(b ^ "@spawn:") binding)
     cfg.Lint_config.r7_allowed
 
-(* [summaries] is the engine's shared escape graph; it may cover more
-   units than R7's scope (the R4 universe shares it), so accesses are
-   only reported for units satisfying [in_scope] — the reference BFS
-   still crosses every summarized unit. *)
-let check (cfg : Lint_config.r7) ~in_scope
+(* [summaries] is the engine's escape graph over exactly R7's scope. *)
+let check (cfg : Lint_config.r7)
     (summaries : (string, Escape_graph.summary) Hashtbl.t) =
   let binding_of u b =
     match Hashtbl.find_opt summaries u with
@@ -119,7 +116,6 @@ let check (cfg : Lint_config.r7) ~in_scope
   let considered = ref [] in
   Hashtbl.iter
     (fun _ s ->
-      if in_scope s.Escape_graph.s_unit then
       Hashtbl.iter
         (fun bname (bd : Escape_graph.binding) ->
           let reachable = Hashtbl.mem parent (s.Escape_graph.s_unit, bname) in

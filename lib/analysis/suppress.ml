@@ -9,7 +9,8 @@
     [irrevocable], [lock-order]) or [all]. The reason is free text; by
     convention it says why the site is safe (e.g. "thread-private
     state"). Several rules may be allowed at one site by repeating the
-    marker. *)
+    marker. [profile-honesty] is the one rule no marker waives, [all]
+    included. *)
 
 type entry = {
   e_line : int;
@@ -103,9 +104,17 @@ let load path =
       lines;
     { entries = List.rev !entries; source = path }
 
+(* Profile honesty is also the verdict [sb7-footprint gen] and
+   [matrix] refuse on, and they read no comments: a waiver here would
+   let the lint pass a profile the generator refuses. A marker naming
+   it matches nothing and is reported stale. *)
+let unsuppressible = "profile-honesty"
+
 (** [suppressed t ~line ~rule] also marks the matching entry as used so
     that stale suppressions can be reported. *)
 let suppressed t ~line ~rule =
+  (not (String.equal rule unsuppressible))
+  &&
   match
     List.find_opt
       (fun e ->

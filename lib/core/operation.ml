@@ -108,16 +108,9 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       structure_mod "SM8" SM.sm8;
     ]
 
-  (* [by_code] is on the operation-pick path of every worker loop (and
-     called per --only-op / CLI parse), so the linear scan of [all] is
-     memoized into a hash table, built lazily on first lookup. *)
-  let by_code_table =
-    lazy
-      (let tbl = Hashtbl.create (2 * List.length all) in
-       List.iter (fun op -> Hashtbl.replace tbl op.code op) all;
-       tbl)
-
-  let by_code code = Hashtbl.find_opt (Lazy.force by_code_table) code
+  (* Off the hot path: a run with --op looks its operation up at
+     startup, and the workers pick operations by array index. *)
+  let by_code code = List.find_opt (fun op -> String.equal op.code code) all
 
   (** The Figure 6 "reduced benchmark" of the paper's §5: every
       operation that acquires very many objects in read mode, or

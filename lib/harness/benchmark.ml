@@ -103,12 +103,35 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   module I = Sb7_core.Instance.Make (R)
   module Sb_random = Sb7_core.Sb_random
 
+  (* The one rule for run shapes: at least one worker domain, the
+     unsynchronized runtime on one domain only (a second would race
+     with the first by design), and an [only_op] that names an
+     operation. [run] refuses any other shape with [Invalid_argument];
+     [Driver.run_with] and [Soak.run] return the message instead. *)
+  let check config =
+    if config.threads < 1 then
+      Error
+        (Printf.sprintf "thread count must be at least 1 (got %d)"
+           config.threads)
+    else if
+      config.threads > 1
+      && String.equal R.name Sb7_runtime.Registry.single_domain
+    then
+      Error
+        (Printf.sprintf
+           "strategy %S provides no synchronization and runs on one domain \
+            only (got %d threads)"
+           R.name config.threads)
+    else
+      match config.only_op with
+      | Some code when Option.is_none (I.Operation.by_code code) ->
+        Error (Printf.sprintf "unknown operation %S" code)
+      | _ -> Ok ()
+
+  (* An unknown [only_op] enables nothing; [check] names it. *)
   let enabled_operations config : I.Operation.t array =
     match config.only_op with
-    | Some code -> (
-      match I.Operation.by_code code with
-      | Some op -> [| op |]
-      | None -> invalid_arg (Printf.sprintf "unknown operation %S" code))
+    | Some code -> Array.of_list (Option.to_list (I.Operation.by_code code))
     | None ->
       I.Operation.all
       |> List.filter (fun (op : I.Operation.t) ->
@@ -255,7 +278,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
     stats
 
   let run ?setup config : Run_result.t =
-    assert (config.threads >= 1);
+    Result.iter_error invalid_arg (check config);
     (* The main domain sizes its arena too, both so single-threaded
        setup/driver allocation runs under the requested regime and so
        the [minor_heap_words] read below reports the configured size. *)

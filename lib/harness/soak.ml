@@ -23,7 +23,8 @@ module Cycle (R : Sb7_runtime.Runtime_intf.S) = struct
   module I = Sb7_core.Instance.Make (R)
   module B = Benchmark.Make (R)
 
-  let run ~workload ~threads ~ops_per_thread ~scale ~seed : cycle_report =
+  let run ~workload ~threads ~ops_per_thread ~scale ~seed :
+      (cycle_report, string) result =
     let config =
       {
         Benchmark.default_config with
@@ -38,27 +39,34 @@ module Cycle (R : Sb7_runtime.Runtime_intf.S) = struct
         long_traversals = R.name <> "astm";
       }
     in
-    let setup = B.build_setup config in
-    let result = B.run ~setup config in
-    {
-      runtime_name = R.name;
-      workload;
-      threads;
-      successes = Stats.total_successes result.Run_result.stats;
-      failures = Stats.total_failures result.Run_result.stats;
-      violations = I.Invariants.check setup;
-    }
+    Result.map
+      (fun () ->
+        let setup = B.build_setup config in
+        let result = B.run ~setup config in
+        {
+          runtime_name = R.name;
+          workload;
+          threads;
+          successes = Stats.total_successes result.Run_result.stats;
+          failures = Stats.total_failures result.Run_result.stats;
+          violations = I.Invariants.check setup;
+        })
+      (B.check config)
 end
 
-(** Every concurrent strategy in the registry: all but [seq]. *)
+(** Every concurrent strategy in the registry: all but
+    {!Sb7_runtime.Registry.single_domain}. *)
 let concurrent_strategies =
-  List.filter (fun name -> name <> "seq") Sb7_runtime.Registry.names
+  List.filter
+    (fun name -> name <> Sb7_runtime.Registry.single_domain)
+    Sb7_runtime.Registry.names
 
 (** Run one cycle per (strategy, workload) pair; strategies defaults to
-    {!concurrent_strategies}. *)
+    {!concurrent_strategies}. [Error] when {!Benchmark.Make}'s [check]
+    refuses a cycle's shape; a refused cycle runs nothing. *)
 let run ?(strategies = concurrent_strategies) ?(threads = 4)
     ?(ops_per_thread = 500) ?(scale = Sb7_core.Parameters.tiny) ?(seed = 42)
-    ?(progress = fun _ -> ()) () : report =
+    ?(progress = fun _ -> ()) () : (report, string) result =
   let cycles =
     List.concat_map
       (fun runtime_name ->
@@ -72,17 +80,22 @@ let run ?(strategies = concurrent_strategies) ?(threads = 4)
               let cycle =
                 C.run ~workload ~threads ~ops_per_thread ~scale ~seed
               in
-              progress cycle;
+              Result.iter progress cycle;
               cycle)
             Workload.all_kinds)
       strategies
   in
-  {
-    cycles;
-    total_operations =
-      List.fold_left (fun acc c -> acc + c.successes + c.failures) 0 cycles;
-    clean = List.for_all (fun c -> c.violations = []) cycles;
-  }
+  match List.find_map (function Error e -> Some e | Ok _ -> None) cycles with
+  | Some e -> Error e
+  | None ->
+    let cycles = List.filter_map Result.to_option cycles in
+    Ok
+      {
+        cycles;
+        total_operations =
+          List.fold_left (fun acc c -> acc + c.successes + c.failures) 0 cycles;
+        clean = List.for_all (fun c -> c.violations = []) cycles;
+      }
 
 let pp_cycle ppf c =
   Format.fprintf ppf "%-10s %-16s t=%d  ok=%-7d failed=%-7d %s" c.runtime_name

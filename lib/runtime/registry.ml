@@ -17,6 +17,7 @@ let all : (string * packed) list =
   ]
 
 let names = List.map fst all
+let single_domain = Seq_runtime.name
 
 let find name : (packed, string) result =
   match List.assoc_opt (String.lowercase_ascii name) all with

@@ -10,4 +10,10 @@ val all : (string * packed) list
 
 val names : string list
 
+(** The one strategy that provides no synchronization ([seq]): it runs
+    on a single domain only. [Benchmark.Make]'s [check] refuses it
+    above one domain, the soak leaves it out and the sanitizer's check
+    loop runs it at one domain. *)
+val single_domain : string
+
 val find : string -> (packed, string) result

@@ -36,9 +36,16 @@ module Make (R : R_sig) = struct
     idx.put 1 2;
     R.read cell
 
-  (* Honestly-declared writers. *)
+  (* Honestly-declared writers. [writer] writes through a member of a
+     local structure module: the resolver must map [Local.store] back
+     to this unit, or UP1 would look like a writer that reaches no
+     write. *)
+  module Local = struct
+    let store v = R.write cell v
+  end
+
   let writer () =
-    R.write cell 42;
+    Local.store 42;
     R.read cell
 
   let structural_write () =

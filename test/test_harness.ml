@@ -186,6 +186,30 @@ let test_driver_unknown_runtime () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted unknown runtime"
 
+(* Shapes no strategy can run come back as [Error] before any domain
+   starts, not as an assertion deep in a worker: the unsynchronized
+   runtime on a second domain, and no worker domain at all. The soak
+   runs the same check before its first cycle. *)
+let test_driver_rejects_bad_shapes () =
+  List.iter
+    (fun (what, runtime_name, threads) ->
+      (match
+         Sb7_harness.Driver.run ~runtime_name
+           { tiny_config with B.threads; max_ops = Some 10 }
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "driver accepted %s" what);
+      match
+        Sb7_harness.Soak.run ~strategies:[ runtime_name ] ~threads
+          ~ops_per_thread:10 ()
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "soak accepted %s" what)
+    [
+      ("seq at 2 domains", Sb7_runtime.Registry.single_domain, 2);
+      ("0 threads", "coarse", 0);
+    ]
+
 let test_disabling_categories () =
   let config =
     {
@@ -231,7 +255,7 @@ let test_reduced_set_config () =
 
 let test_max_ops_budget () =
   let config = { tiny_config with B.threads = 3; max_ops = Some 200 } in
-  match Sb7_harness.Driver.run ~runtime_name:"seq" config with
+  match Sb7_harness.Driver.run ~runtime_name:"coarse" config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     Alcotest.(check int) "exactly threads * budget attempts" 600
@@ -251,9 +275,8 @@ let test_only_op () =
 let test_only_op_unknown () =
   let config = { tiny_config with B.only_op = Some "NOPE"; threads = 1 } in
   match Sb7_harness.Driver.run ~runtime_name:"seq" config with
-  | exception Invalid_argument _ -> ()
+  | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted unknown operation"
-  | Error _ -> Alcotest.fail "wrong error path"
 
 let test_warmup_runs_and_is_excluded () =
   let config =
@@ -274,15 +297,17 @@ let test_warmup_runs_and_is_excluded () =
     Alcotest.(check bool) "elapsed excludes warmup" true (r.RR.elapsed_s < 0.3)
 
 let test_soak_smoke () =
-  let report =
+  match
     Sb7_harness.Soak.run ~strategies:[ "coarse"; "tl2" ] ~threads:2
       ~ops_per_thread:100 ()
-  in
-  Alcotest.(check bool) "clean" true report.Sb7_harness.Soak.clean;
-  Alcotest.(check int) "6 cycles" 6
-    (List.length report.Sb7_harness.Soak.cycles);
-  Alcotest.(check int) "operation accounting" 1200
-    report.Sb7_harness.Soak.total_operations
+  with
+  | Error e -> Alcotest.fail e
+  | Ok report ->
+    Alcotest.(check bool) "clean" true report.Sb7_harness.Soak.clean;
+    Alcotest.(check int) "6 cycles" 6
+      (List.length report.Sb7_harness.Soak.cycles);
+    Alcotest.(check int) "operation accounting" 1200
+      report.Sb7_harness.Soak.total_operations
 
 let test_single_thread_deterministic () =
   let config = { tiny_config with B.threads = 1; max_ops = Some 300 } in
@@ -314,6 +339,8 @@ let suite =
       test_expected_ratios_form_distribution;
     Alcotest.test_case "report renders all sections" `Slow test_report_renders;
     Alcotest.test_case "unknown runtime" `Quick test_driver_unknown_runtime;
+    Alcotest.test_case "bad run shapes are errors" `Quick
+      test_driver_rejects_bad_shapes;
     Alcotest.test_case "disabling categories" `Slow test_disabling_categories;
     Alcotest.test_case "reduced set" `Slow test_reduced_set_config;
     Alcotest.test_case "max_ops budget" `Slow test_max_ops_budget;

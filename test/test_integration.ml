@@ -158,7 +158,7 @@ let test_failed_ops_recorded () =
 let test_all_registered_runtimes_run () =
   List.iter
     (fun name ->
-      if name <> "seq" then begin
+      if name <> Sb7_runtime.Registry.single_domain then begin
         let result = run_concurrent name ~threads:2 ~workload:W.Read_dominated in
         Alcotest.(check string) "runtime name" name
           result.Sb7_harness.Run_result.runtime_name

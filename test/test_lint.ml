@@ -53,7 +53,6 @@ let fixture_config : Lint_config.t =
         r4_structural_builders = [ "structure" ];
         r4_universe_prefixes = [ "Lint_fixtures__R4" ];
         r4_write_idents = [ "R.write" ];
-        r4_write_fields = [ "put" ];
       };
     r5 =
       {
@@ -193,9 +192,11 @@ let contains ~sub s =
   n = 0 || at 0
 
 let test_r4_fires () =
-  (* RO2 (transitive R.write through deep_write), RO3 (index .put) and
-     RO4 (RO2's writer behind an empty ~writes list). *)
-  check_count ~rule:"profile-honesty" ~file:"r4_registry.ml" 3
+  (* RO2 (transitive R.write through deep_write), RO3 (index .put),
+     RO4 (RO2's writer behind an empty ~writes list), RO5 (Bag-like
+     add through the two-level alias S.B) and UP2 (declared writer
+     that only reads). *)
+  check_count ~rule:"profile-honesty" ~file:"r4_registry.ml" 5
 
 let test_r4_findings_name_the_witness () =
   let r = Lazy.force result in
@@ -222,22 +223,87 @@ let test_r4_findings_name_the_witness () =
     (List.exists
        (fun m ->
          contains ~sub:"\"RO4\"" m && contains ~sub:"deep_write" m)
+       msgs);
+  Alcotest.(check bool)
+    "RO5 finding names the write behind the alias chain" true
+    (List.exists
+       (fun m ->
+         contains ~sub:"\"RO5\"" m && contains ~sub:"R4_bag.add" m)
+       msgs);
+  Alcotest.(check bool)
+    "a declared writer that reaches no write is told to drop ~writes" true
+    (List.exists
+       (fun m ->
+         contains ~sub:"\"UP2\"" m
+         && contains ~sub:"drop the ~writes clause" m)
        msgs)
 
 let test_r4_honest_ops_clean () =
   let r = Lazy.force result in
-  (* Exactly the three liars: honest RO1, declared writer UP1 and the
-     structural SM1 contribute nothing, nor does the helpers unit. *)
+  (* Exactly the five liars: honest RO1, declared writer UP1 and the
+     structural SM1 contribute nothing, nor do the helper units. *)
   Alcotest.(check int)
-    "no profile-honesty findings outside the registry" 3
+    "no profile-honesty findings outside the registry" 5
     (List.length
        (List.filter
           (fun (f : Lint_finding.t) -> f.rule = "profile-honesty")
           r.Lint_engine.findings));
-  Alcotest.(check int)
-    "helpers unit itself is clean" 0
-    (List.length
-       (List.filter (in_file "r4_helpers.ml") r.Lint_engine.findings))
+  List.iter
+    (fun file ->
+      Alcotest.(check int)
+        (file ^ " itself is clean")
+        0
+        (List.length (List.filter (in_file file) r.Lint_engine.findings)))
+    [ "r4_helpers.ml"; "r4_bag.ml"; "r4_setup.ml"; "r4_chain.ml" ]
+
+(* One verdict: the footprint inference's [profile_violations] names
+   exactly the five liars — RO2/RO4, whose write the generic-writer
+   fixpoint cannot attribute to a region, included — and R4's findings
+   carry its messages verbatim. *)
+let test_r4_reports_the_inference_verdict () =
+  let config = { Footprint.default with fp_registry = fixture_config.r4 } in
+  let violations =
+    Footprint.profile_violations
+      (Footprint.infer ~config (Cmt_unit.scan [ fixture_cmts ]))
+  in
+  Alcotest.(check (list string))
+    "profile_violations" [ "RO2"; "RO3"; "RO4"; "RO5"; "UP2" ]
+    (List.sort compare
+       (List.map (fun ((fp : Footprint.op_footprint), _) -> fp.fp_code)
+          violations));
+  let r = Lazy.force result in
+  Alcotest.(check (list string))
+    "R4 findings carry the verdict's messages"
+    (List.sort compare (List.map snd violations))
+    (List.sort compare
+       (List.filter_map
+          (fun (f : Lint_finding.t) ->
+            if f.rule = "profile-honesty" then Some f.message else None)
+          r.Lint_engine.findings))
+
+(* [sb7-footprint gen] reads no comments, so a profile-honesty waiver
+   that took would let the lint pass what the generator refuses. RO3's
+   waiver does not take: RO3 is still an error, in the lint as in
+   [profile_violations] above, and the marker is reported stale. *)
+let test_r4_waiver_refused () =
+  let r = Lazy.force result in
+  let names_ro3 (f : Lint_finding.t) =
+    f.rule = "profile-honesty" && contains ~sub:"\"RO3\"" f.message
+  in
+  Alcotest.(check bool)
+    "waived RO3 is still an error" true
+    (List.exists names_ro3 r.Lint_engine.findings);
+  Alcotest.(check bool)
+    "nothing suppressed" false
+    (List.exists
+       (fun (f : Lint_finding.t) -> f.rule = "profile-honesty")
+       r.Lint_engine.suppressed);
+  Alcotest.(check bool)
+    "the waiver is reported stale" true
+    (List.exists
+       (fun (file, _, rule) ->
+         Filename.basename file = "r4_registry.ml" && rule = "profile-honesty")
+       r.Lint_engine.stale_suppressions)
 
 let test_stale_suppression_reported () =
   let r = Lazy.force result in
@@ -466,6 +532,10 @@ let () =
             test_r4_findings_name_the_witness;
           Alcotest.test_case "honest profiles stay clean" `Quick
             test_r4_honest_ops_clean;
+          Alcotest.test_case "lint reports the footprint verdict" `Quick
+            test_r4_reports_the_inference_verdict;
+          Alcotest.test_case "no comment waives a profile" `Quick
+            test_r4_waiver_refused;
         ] );
       ( "r7-domain-escape",
         [

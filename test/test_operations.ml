@@ -449,9 +449,9 @@ let test_reduced_set () =
     [ "ST5"; "OP4"; "OP5"; "OP11" ];
   Alcotest.(check bool) "ST1 kept" true (List.mem "ST1" reduced)
 
-(* The memoized [by_code] table: every registered code resolves to the
-   operation carrying that code, and unknown codes come back [None]
-   (the error path every CLI/--only-op parse relies on). *)
+(* [by_code]: every registered code resolves to the operation carrying
+   that code, and unknown codes come back [None] (the error path every
+   CLI/--only-op parse relies on). *)
 let test_by_code_lookup () =
   List.iter
     (fun (op : I.Operation.t) ->

@@ -649,7 +649,8 @@ let test_footprint_replay_all_runtimes () =
   List.iter
     (fun (name, _) ->
       let config =
-        if String.equal name "seq" then { run_config with B.threads = 1 }
+        if String.equal name Sb7_runtime.Registry.single_domain then
+          { run_config with B.threads = 1 }
         else run_config
       in
       let verdict = sanitized_run ~config name in
