@@ -2,7 +2,7 @@
     Each row arms a fault compiled into the normal build behind an
     [Unsafe] flag, runs its runtime sanitized, and names the verdict
     category that must flag it. [sb7-sanitize seeded NAME] and
-    test_sanitize both run this table. *)
+    test_sanitize_seeded both run this table. *)
 
 module Checker = Sb7_sanitize.Checker
 

@@ -7,7 +7,8 @@
       observed a consistent snapshot, and that the committed history is
       serializable (multi-version serialization graph acyclicity, plus
       per-tvar version-chain integrity: a fork in a chain is a lost
-      update). Runs for every runtime.
+      update, and observing a version its own writer overwrote is an
+      intermediate read). Runs for every runtime.
     - {b Eraser-style lockset races}: for the lock-based runtimes,
       every shared tvar's accesses must be pairwise ordered by a common
       lock held exclusively on at least one side: a named lock, or the

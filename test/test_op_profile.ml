@@ -110,6 +110,63 @@ let test_declared_read_only_is_inferred_pure_read () =
         pure_read (I.Operation.read_only op))
     I.Operation.all
 
+(* Medium locking's soundness, checked statically: every region a
+   non-structural operation's footprint reads is covered by an entry of
+   its lock plan (Assemblies by some assembly level), every region it
+   writes by a write entry, and the plan locks no region the footprint
+   does not touch. Indexes has no lock domain: every non-structural
+   operation holds the structure lock in read mode, and the only ones
+   that write an index are T3a-c and OP15, which update the build-date
+   index beside their atomic-part writes, under that domain's write
+   lock. *)
+let test_lock_plan_covers_footprint () =
+  let module I = Sb7_core.Instance.Make (Sb7_runtime.Seq_runtime) in
+  let module R = Sb7_runtime.Region in
+  let region = function
+    | P.Assembly_level _ -> R.Assemblies
+    | P.Composite_parts -> R.Composite_parts
+    | P.Atomic_parts -> R.Atomic_parts
+    | P.Documents -> R.Documents
+    | P.Manual -> R.Manual
+  in
+  let index_writers = ref [] in
+  List.iter
+    (fun (op : I.Operation.t) ->
+      if not op.profile.P.structural then begin
+        let fp = Option.get (Sb7_core.Op_footprint.find op.code) in
+        let plan = P.locking_plan op.profile in
+        let covered ~write r =
+          List.exists (fun (d, m) -> region d = r && ((not write) || m = `Write)) plan
+        in
+        let check what ok =
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" op.code what) true ok
+        in
+        List.iter
+          (fun r ->
+            if r <> R.Indexes then
+              check ("plan covers read " ^ R.to_string r) (covered ~write:false r))
+          fp.fp_reads;
+        List.iter
+          (fun r ->
+            if r = R.Indexes then begin
+              index_writers := op.code :: !index_writers;
+              check "an index writer writes atomic parts"
+                (covered ~write:true R.Atomic_parts)
+            end
+            else check ("plan write-locks " ^ R.to_string r) (covered ~write:true r))
+          fp.fp_writes;
+        List.iter
+          (fun (d, _) ->
+            check
+              ("footprint touches locked " ^ P.domain_to_string d)
+              (List.mem (region d) (fp.fp_reads @ fp.fp_writes)))
+          plan
+      end)
+    I.Operation.all;
+  Alcotest.(check (list string))
+    "non-structural index writers" [ "OP15"; "T3a"; "T3b"; "T3c" ]
+    (List.sort compare !index_writers)
+
 let suite =
   [
     Alcotest.test_case "read_only classification" `Quick test_read_only;
@@ -126,6 +183,8 @@ let suite =
       test_every_benchmark_op_has_coherent_profile;
     Alcotest.test_case "declared read-only = inferred pure-read" `Quick
       test_declared_read_only_is_inferred_pure_read;
+    Alcotest.test_case "lock plan covers the footprint" `Quick
+      test_lock_plan_covers_footprint;
   ]
 
 let () = Alcotest.run "op_profile" [ ("op_profile", suite) ]

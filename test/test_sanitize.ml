@@ -1,13 +1,13 @@
-(* Tests for the sanitizer substrate (lib/sanitize): the wrapper must
-   be transparent, the trace must round-trip, and the checker must flag
-   each class of bug on hand-built event streams — and, end to end,
-   flag the seeded runtime bugs while passing honest runs clean. *)
+(* Tests for the sanitizer substrate (lib/sanitize) on hand-built
+   event streams: the wrapper must be transparent, the trace must
+   round-trip, and the checker must flag each class of bug and pass its
+   clean twin. The end-to-end runs are test_sanitize_replay (every
+   runtime, honest) and test_sanitize_seeded (the planted bugs). *)
 
+open Sanitize_helpers
 module Trace = Sb7_sanitize.Trace
-module Checker = Sb7_sanitize.Checker
 module Sanitize = Sb7_sanitize.Sanitize
 module Op_profile = Sb7_runtime.Op_profile
-module B = Sb7_harness.Benchmark
 
 (* -- Stream-building helpers ---------------------------------------- *)
 
@@ -38,15 +38,6 @@ let lock_profile ?(ranked = []) () =
     ranked_locks = ranked;
   }
 
-let contains s sub =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
-let check_clean what v =
-  if not (Checker.clean v) then
-    Alcotest.failf "%s is not clean:\n%s" what (Checker.summary v)
-
 let expect ~category ~mentions v =
   let findings =
     match category with
@@ -57,11 +48,6 @@ let expect ~category ~mentions v =
   match findings with
   | [] -> Alcotest.failf "no finding mentioning %S" mentions
   | f :: _ ->
-    let contains s sub =
-      let n = String.length sub and m = String.length s in
-      let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-      n = 0 || at 0
-    in
     Alcotest.(check bool)
       (Printf.sprintf "finding %S mentions %S" f mentions)
       true (contains f mentions)
@@ -200,6 +186,30 @@ let test_concurrent_commits_no_false_positive () =
   in
   check_clean "unordered concurrent commits"
     (Checker.analyze ~profile:stm_profile d)
+
+let test_intermediate_read_any_numbering () =
+  (* The committed attempt writes x@10 and y@20, then overwrites its
+     own x@10 with x@11; the aborted reader saw x@10 and y@20. No
+     serialization shows x@10, whatever the tvars are numbered. The
+     last numbering is sparse enough to be renumbered, and the finding
+     still names the recorded ids. *)
+  List.iter
+    (fun (x, y) ->
+      let d =
+        dump
+          [
+            [ begin_ 1; write_ x 10 0; write_ y 20 0; write_ x 11 10; commit 2 ];
+            [ begin_ 3; read_ x 10; read_ y 20 ];
+          ]
+      in
+      expect ~category:`Opacity
+        ~mentions:
+          (Printf.sprintf
+             "intermediate read: domain 1 attempt #1 (aborted) saw tvar %d \
+              at version 10"
+             x)
+        (Checker.analyze ~profile:stm_profile d))
+    [ (1, 2); (9, 5); (100, 3); (2, 1); (5, 9); ((1 lsl 41) + 5, 3) ]
 
 let test_snapshot_pass_linear_on_independent_chains () =
   (* Two committed chains of writers, on tvars 1 and 2, one per
@@ -354,6 +364,23 @@ let test_lock_order_respected () =
   check_clean "declared order"
     (Checker.analyze ~profile:(lock_profile ~ranked ()) d)
 
+let test_lock_order_pairs_reported_once () =
+  (* Domain 0 takes the structure lock under domain-0 twice; domain 1
+     takes domain-0 under domain-1, then the structure lock under both.
+     Each out-of-order (held, acquired) pair is one finding, however
+     often and from whichever held set it recurs. *)
+  let d =
+    dump ~locks
+      [
+        [ acq 2; acq 1; rel 1; rel 2; acq 2; acq 1; rel 1; rel 2 ];
+        [ acq 3; acq 2; acq 1; rel 1; rel 2; rel 3 ];
+      ]
+  in
+  let v = Checker.analyze ~profile:(lock_profile ~ranked ()) d in
+  Alcotest.(check int) "one finding per pair" 3 (List.length v.Checker.lock_order);
+  expect ~category:`Order
+    ~mentions:"domain 0: acquired structure while holding domain-0" v
+
 let test_anonymous_locks_exempt_from_order () =
   (* fine's per-tvar locks are unranked: interleaving them with ranked
      locks is not an ordering violation. *)
@@ -451,6 +478,109 @@ let test_lockset_linear_on_fine_traces () =
   Alcotest.(check bool)
     (Printf.sprintf "analysis took %.2f s (bound 4 s)" took)
     true (took < 4.)
+
+(* -- Verdicts do not depend on id numbering ------------------------- *)
+
+(* A random small history, the same for every [seed] whatever the
+   naming: 2-3 streams of attempts over at most 8 tvars. An attempt
+   reads a version of a tvar (usually its newest), writes a new version
+   on top of one (usually the newest), partially aborts, takes a tvar's
+   lock (usually the accessed tvar's own) just before an access, and
+   ends in a commit, a rollback or an abort. [sid], [wid] and [lock]
+   name the tvars, the nonzero versions and the lock offsets. *)
+let random_history ~sid ~wid ~lock seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let n_tvars = 1 + int 8 and n_streams = 2 + int 2 in
+  let versions = Array.make n_tvars [ 0 ] (* newest first *) in
+  let pick l = if int 4 > 0 then List.hd l else List.nth l (int (List.length l)) in
+  let name w = if w = 0 then 0 else wid w in
+  let last = ref 0 in
+  let evs = Array.make n_streams [] (* reversed *) in
+  let emit d ev = evs.(d) <- ev :: evs.(d) in
+  let running = Array.make n_streams false and held = Array.make n_streams [] in
+  let reads = Array.make n_streams 0 and writes = Array.make n_streams 0 in
+  let locked d t ~excl =
+    if int 2 = 0 then begin
+      let k = if int 4 > 0 then t else int n_tvars in
+      held.(d) <- (k, excl) :: held.(d);
+      emit d (acq ~excl (tvar_lock (lock k)))
+    end
+  in
+  for step = 1 to 10 + int 40 do
+    let d = int n_streams and t = int n_tvars in
+    if not running.(d) then begin
+      emit d (begin_ ~flags:(int 4) step);
+      running.(d) <- true;
+      reads.(d) <- 0;
+      writes.(d) <- 0
+    end
+    else
+      match int 10 with
+      | 0 | 1 | 2 | 3 ->
+        locked d t ~excl:(int 2 = 0);
+        emit d (read_ (sid t) (name (pick versions.(t))));
+        reads.(d) <- reads.(d) + 1
+      | 4 | 5 | 6 ->
+        locked d t ~excl:true;
+        incr last;
+        emit d (write_ (sid t) (name !last) (name (pick versions.(t))));
+        versions.(t) <- !last :: versions.(t);
+        writes.(d) <- writes.(d) + 1
+      | 7 ->
+        reads.(d) <- int (reads.(d) + 1);
+        writes.(d) <- int (writes.(d) + 1);
+        emit d (partial_ reads.(d) writes.(d))
+      | _ ->
+        List.iter (fun (k, excl) -> emit d (rel ~excl (tvar_lock (lock k)))) held.(d);
+        held.(d) <- [];
+        (match int 3 with 0 -> emit d (commit step) | 1 -> emit d rollback | _ -> ());
+        running.(d) <- false
+  done;
+  dump (Array.to_list (Array.map List.rev evs))
+
+(* Everything a renaming must keep: the counts and each category's
+   number of findings. *)
+let shape (v : Checker.verdict) =
+  ( Checker.clean v,
+    [ v.events; v.attempts; v.committed; v.aborted; v.rolled_back;
+      v.structural_commits; List.length v.opacity; List.length v.races;
+      List.length v.lock_order ] )
+
+let prop_numbering =
+  QCheck.Test.make ~name:"verdict independent of id numbering" ~count:2000
+    QCheck.int (fun seed ->
+      let rs = Random.State.make [| seed; 1 |] in
+      let perm n =
+        let a = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rs (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        a
+      in
+      (* 64 > the most versions a history writes *)
+      let ps = perm 8 and pw = perm 64 and pl = perm 8 in
+      let sparse p i = (1 lsl 40) + (p.(i) lsl 24) + Random.State.int rs (1 lsl 20) in
+      let sparse_s = Array.init 8 (sparse ps) and sparse_w = Array.init 64 (sparse pw)
+      and sparse_l = Array.init 8 (sparse pl) in
+      let analyze d = Checker.analyze ~profile:fine_profile d in
+      let base = analyze (random_history ~sid:Fun.id ~wid:Fun.id ~lock:Fun.id seed) in
+      let dense =
+        analyze
+          (random_history ~sid:(Array.get ps) ~wid:(fun w -> 1 + pw.(w))
+             ~lock:(Array.get pl) seed)
+      in
+      let spread =
+        analyze
+          (random_history ~sid:(Array.get sparse_s) ~wid:(Array.get sparse_w)
+             ~lock:(Array.get sparse_l) seed)
+      in
+      shape base = shape dense && shape base = shape spread
+      || QCheck.Test.fail_reportf "renamed verdicts differ:\n%s\n%s\n%s"
+           (Checker.summary base) (Checker.summary dense) (Checker.summary spread))
 
 (* -- Trace round-trip ----------------------------------------------- *)
 
@@ -619,96 +749,26 @@ let test_replay_escapes_deduplicated () =
     "one deduplicated finding" 1
     (List.length v.Checker.read_escapes)
 
-(* -- End to end: honest run clean, seeded bugs flagged -------------- *)
-
-let run_config =
-  {
-    B.default_config with
-    B.threads = 2;
-    duration_s = 0.3;
-    workload = Sb7_harness.Workload.Write_dominated;
-    scale = Sb7_core.Parameters.tiny;
-    scale_name = "tiny";
-    sanitize = true;
-  }
-
-let sanitized_run ?(config = run_config) runtime_name =
-  match Sb7_harness.Driver.run ~runtime_name config with
-  | Error e -> Alcotest.fail e
-  | Ok r -> (
-    match r.Sb7_harness.Run_result.sanitizer with
-    | None -> Alcotest.fail "sanitized run produced no verdict"
-    | Some v -> v)
-
-(* Property: for every registered runtime, a sanitized quick workload
-   at two domains records attempts, comes back clean, and its verdict's
-   footprint replay checked accesses with zero contradictions and no
-   unknowns — the dynamic trace validates the whole-program inference
-   (docs/FOOTPRINT.md). *)
-let test_footprint_replay_all_runtimes () =
-  List.iter
-    (fun (name, _) ->
-      let config =
-        if String.equal name Sb7_runtime.Registry.single_domain then
-          { run_config with B.threads = 1 }
-        else run_config
-      in
-      let verdict = sanitized_run ~config name in
-      let fp = verdict.Checker.footprint in
-      Alcotest.(check bool)
-        (name ^ ": attempts recorded")
-        true
-        (verdict.Checker.attempts > 0);
-      check_clean ("honest " ^ name) verdict;
-      Alcotest.(check bool)
-        (name ^ ": accesses were checked")
-        true (fp.Checker.checked > 0);
-      Alcotest.(check int) (name ^ ": no unknown regions") 0
-        fp.Checker.unknown_region;
-      Alcotest.(check int) (name ^ ": no unknown ops") 0 fp.Checker.unknown_op)
-    Sb7_runtime.Registry.all;
-  Trace.reset ()
-
-(* A sanitized run whose trace escapes the footprint table is not
-   clean, and every rendering of its verdict says so. OP2 alone, with
-   the injected read of the manual armed, escapes on every execution. *)
-let test_escape_flags_the_run () =
-  let config =
-    { run_config with B.threads = 1; max_ops = Some 20; only_op = Some "OP2" }
+let test_replay_sparse_sids () =
+  (* Accessed sids spanning far more than the trace has events are
+     renumbered first; a later note of a sid still wins. *)
+  let far = 1 lsl 41 in
+  let v =
+    fp_check
+      ~regions:[| (far, 4); (far, 0); (3, 4) |]
+      [ [ begin_ ~op:1 10; read_ far 5; read_ 3 6; read_ 7 8; commit 12 ] ]
   in
-  B.Unsafe.read_escape ();
-  let r =
-    Fun.protect ~finally:B.Unsafe.reset (fun () ->
-        match Sb7_harness.Driver.run ~runtime_name:"tl2" config with
-        | Ok r -> r
-        | Error e -> Alcotest.fail e)
-  in
-  let v = Option.get r.Sb7_harness.Run_result.sanitizer in
-  Alcotest.(check bool) "not clean" false (Checker.clean v);
-  Alcotest.(check bool) "a may-read escape" true
-    (v.Checker.footprint.Checker.read_escapes <> []);
-  let shows what text =
-    Alcotest.(check bool)
-      (what ^ " shows the escape")
-      true
-      (contains text "footprint escape: operation OP2 read")
-  in
-  shows "summary" (Checker.summary v);
-  shows "report" (Format.asprintf "%a" Sb7_harness.Report.print r);
-  Alcotest.(check string)
-    "csv cell" "flagged;opacity=0;races=0;order=0;structural=0;footprint=1"
-    (Checker.csv_cell v);
-  Trace.reset ()
+  Alcotest.(check int) "noted sids checked" 2 v.Checker.checked;
+  Alcotest.(check int) "unnoted sid unknown" 1 v.Checker.unknown_region;
+  Alcotest.(check bool)
+    "only tvar 3 escapes" true
+    (match v.Checker.read_escapes with
+    | [ m ] -> contains m "tvar 3 in region documents"
+    | _ -> false)
 
-(* Every planted bug of the fixture table is flagged in its category. *)
-let test_seeded (fixture : Sb7_harness.Fixture.t) () =
-  let module F = Sb7_harness.Fixture in
-  let attempt, v = F.detect { run_config with B.duration_s = 0.2 } fixture in
-  if F.findings fixture.expect v = [] then
-    Alcotest.failf "%s: no %s finding after %d runs:\n%s" fixture.name
-      (F.category_name fixture.expect)
-      attempt (Checker.summary v)
-
+(* Alcotest pads group names to the longest one and cuts long test names
+   to fit the line, so a test's printed name depends on that width. The
+   longest group name here is ten characters ("renumbered"); keep it so. *)
 let () =
   Alcotest.run "sanitize"
     [
@@ -738,6 +798,8 @@ let () =
             test_partial_rollback_discards_write;
           Alcotest.test_case "snapshot pass linear on independent chains"
             `Quick test_snapshot_pass_linear_on_independent_chains;
+          Alcotest.test_case "intermediate read under any numbering" `Quick
+            test_intermediate_read_any_numbering;
         ] );
       ( "lockset",
         [
@@ -764,7 +826,10 @@ let () =
             test_tvar_lock_reread_keeps_guard;
           Alcotest.test_case "linear on fine-shaped traces" `Quick
             test_lockset_linear_on_fine_traces;
+          Alcotest.test_case "lock-order pairs reported once" `Quick
+            test_lock_order_pairs_reported_once;
         ] );
+      ("renumbered", [ QCheck_alcotest.to_alcotest prop_numbering ]);
       ( "trace",
         [
           Alcotest.test_case "save/load round-trip" `Quick test_trace_save_load;
@@ -785,16 +850,6 @@ let () =
             test_replay_unknowns_counted_not_flagged;
           Alcotest.test_case "escapes deduplicated" `Quick
             test_replay_escapes_deduplicated;
+          Alcotest.test_case "sparse sids" `Quick test_replay_sparse_sids;
         ] );
-      ( "end-to-end",
-        [
-          Alcotest.test_case "footprint replay: all runtimes" `Quick
-            test_footprint_replay_all_runtimes;
-          Alcotest.test_case "a footprint escape flags the run" `Quick
-            test_escape_flags_the_run;
-        ]
-        @ List.map
-            (fun (f : Sb7_harness.Fixture.t) ->
-              Alcotest.test_case ("seeded: " ^ f.bug) `Quick (test_seeded f))
-            Sb7_harness.Fixture.all );
     ]
