@@ -403,34 +403,16 @@ let quick (s : settings) =
         let read = run st rt W.Read_dominated 2 in
         row (runtime rt) cols (read, run st rt W.Write_dominated 2))
   in
-  (* Allocation probe: every STM substrate twice back-to-back at 2
-     domains. The first run's worker domains donate their descriptors to
-     the substrate pool on exit, so the second (reported) run's workers
-     adopt them and [descriptor_pool_hits] is deterministically positive
-     — the CI allocation gate keys on this, and on minor-words-per-commit
-     staying put (docs/PERF.md §9). *)
-  let alloc =
-    let st, fields = timed [ workload "rw"; two ] 0.3 0. in
-    let pool = counters [ "descriptor_pool_hits"; "descriptor_pool_misses" ] in
-    let cols = ops_per_s :: commits_aborts @ minor_words :: minor_gc :: pool in
-    section
-      "allocation probe, read-write, 2 domains, second of two back-to-back \
-       runs (pool hits = domains that adopted a recycled descriptor):"
-      ~fields [ "tl2"; "lsa"; "norec"; "etl" ]
-      (fun rt ->
-        ignore (run st rt W.Read_write 2);
-        run st rt W.Read_write 2 |> row (runtime rt) cols)
-  in
   if !write_json then begin
     let path = "BENCH_quick.json" in
     let heap = Option.value s.minor_heap ~default:(Gc.get ()).minor_heap_size in
     let doc =
-      [ ("schema", Str "sb7-bench-quick/8"); ("scale", Str s.scale_name);
+      [ ("schema", Str "sb7-bench-quick/9"); ("scale", Str s.scale_name);
         workload (W.kind_to_string W.Read_write); ("threads", Int 1);
         ("max_ops", Int max_ops); ("seed", Int s.seed);
         ("long_traversals", Bool false); ("minor_heap_words", Int heap);
         ("strategies", strategies); ("ro_read_dominated", ro_read_dominated);
-        ("alloc", alloc); ("scaling", scaling);
+        ("scaling", scaling);
         ("long_traversals", long_traversals); ("phase_mix", phase_mix) ]
     in
     let field (k, v) = Printf.sprintf "  %S: %s" k (json_to_string 2 v) in
@@ -642,49 +624,3 @@ let ablation_stm (s : settings) =
         [ "coarse"; "medium"; "tl2"; "lsa"; "astm" ];
       print_newline ())
     W.all_kinds
-
-(* --- Ablation — descriptor pooling on/off across the STM substrates --- *)
-
-let alloc (s : settings) =
-  print_header
-    "Allocation ablation — descriptor pooling on/off per STM substrate \
-     (words/commit = minor-heap words allocated per committed op)";
-  note
-    "pooling off: every domain allocates a fresh descriptor and donates \
-     nothing back; within a pooling-on row, later points adopt \
-     descriptors donated by earlier ones (same process, same pool)";
-  let s = { s with duration = Float.min s.duration 0.4 } in
-  Printf.printf "%-8s %-10s %8s %-8s %12s %13s %8s %10s %10s\n" "runtime"
-    "workload" "domains" "pooling" "ops/s" "words/commit" "mgc/1k"
-    "pool.hits" "pool.misses";
-  List.iter
-    (fun runtime ->
-      List.iter
-        (fun workload ->
-          List.iter
-            (fun threads ->
-              List.iter
-                (fun pooling ->
-                  let r =
-                    with_switch Sb7_stm.Stm_intf.descriptor_pooling_enabled
-                      pooling (fun () ->
-                        run_point s
-                          (point ~runtime ~workload ~threads
-                             ~long_traversals:false ()))
-                  in
-                  let c k = RR.counter r k in
-                  Printf.printf
-                    "%-8s %-10s %8d %-8s %12.1f %13.1f %8.2f %10d %10d\n"
-                    runtime
-                    (W.kind_to_string workload)
-                    threads
-                    (if pooling then "on" else "off")
-                    (RR.throughput r)
-                    (RR.minor_words_per_commit r)
-                    (RR.minor_gc_per_1k_commits r)
-                    (c "descriptor_pool_hits")
-                    (c "descriptor_pool_misses"))
-                [ true; false ])
-            [ 1; 2; 4 ])
-        [ W.Read_dominated; W.Write_dominated ])
-    [ "tl2"; "lsa"; "norec"; "etl" ]

@@ -6,9 +6,9 @@
      dune exec bench/main.exe -- --full all   # the paper's scale (slow)
 
    Experiments: table2 fig3 fig4 table3 fig6 t1-astm quick baseline
-   oplat scaling domains ablation-index ablation-cm ablation-stm alloc
-   micro sanitize-overhead all (sanitize-overhead is a pass/fail gate,
-   run only when named) *)
+   oplat scaling domains ablation-index ablation-cm ablation-stm micro
+   sanitize-overhead all (sanitize-overhead is a pass/fail gate, run
+   only when named) *)
 
 open Bench_common
 
@@ -28,7 +28,6 @@ let experiments : (string * (settings -> unit)) list =
     ("ablation-index", Experiments.ablation_index);
     ("ablation-cm", Experiments.ablation_cm);
     ("ablation-stm", Experiments.ablation_stm);
-    ("alloc", Experiments.alloc);
     ("micro", (fun _ -> Micro.run ()));
     ("sanitize-overhead", (fun _ -> Micro.sanitize_overhead ()));
   ]

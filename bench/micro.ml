@@ -266,61 +266,6 @@ let scaling_tests =
     test "tvar-id-chunked-4d" 4 chunked_body;
   ]
 
-(* Allocation-pass kernels: the two representation choices of the
-   descriptor pool + SoA logs, isolated head-to-head.
-
-   descriptor-acquire-*: one domain spawn, one tiny transaction, exit.
-   The spawn/join dominates both variants equally, so the pair's delta
-   is the cost under test: "pooled" adopts the descriptor the previous
-   run's domain donated back on exit, "fresh" (pooling disabled)
-   allocates and initializes a new one — logs, dedup table, undo
-   arrays — every run.
-
-   readset-validate-*: sweep-validate a 256-entry read set laid out as
-   an array of boxed entry records (the pre-pass representation) vs
-   parallel unboxed arrays (structure-of-arrays, what TL2/LSA/ETL now
-   ship). Same checks per entry; the boxed sweep pays one extra
-   dependent pointer load each. *)
-let alloc_tests =
-  let module T = Sb7_stm.Tl2 in
-  let tv = T.make 0 in
-  let acquire pooled () =
-    Bench_common.with_switch Sb7_stm.Stm_intf.descriptor_pooling_enabled
-      pooled (fun () ->
-        Domain.join
-          (Domain.spawn (fun () ->
-               T.atomic (fun () -> T.write tv (T.read tv + 1)))))
-  in
-  let n = 256 in
-  let module Boxed = struct
-    type entry = { version : int; vlock : int Atomic.t }
-  end in
-  let boxed =
-    Array.init n (fun i ->
-        { Boxed.version = 2 * i; vlock = Atomic.make (2 * i) })
-  in
-  let soa_versions = Array.init n (fun i -> 2 * i) in
-  let soa_vlocks = Array.init n (fun i -> Atomic.make (2 * i)) in
-  [
-    Test.make ~name:"descriptor-acquire-pooled" (Staged.stage (acquire true));
-    Test.make ~name:"descriptor-acquire-fresh" (Staged.stage (acquire false));
-    Test.make ~name:"readset-validate-boxed-256"
-      (Staged.stage (fun () ->
-           let ok = ref true in
-           for i = 0 to n - 1 do
-             let e = boxed.(i) in
-             if Atomic.get e.Boxed.vlock <> e.Boxed.version then ok := false
-           done;
-           assert !ok));
-    Test.make ~name:"readset-validate-soa-256"
-      (Staged.stage (fun () ->
-           let ok = ref true in
-           for i = 0 to n - 1 do
-             if Atomic.get soa_vlocks.(i) <> soa_versions.(i) then ok := false
-           done;
-           assert !ok));
-  ]
-
 let tests () =
   Test.make_grouped ~name:"kernels"
     ([
@@ -335,7 +280,7 @@ let tests () =
        op_test "SM3";
      ]
     @ text_tests @ stm_tests @ substrate_tests @ sanitize_tests
-    @ scaling_tests @ alloc_tests)
+    @ scaling_tests)
 
 let run () =
   Bench_common.print_header

@@ -428,19 +428,19 @@ let default =
         r7_confined_types =
           [
             ( "Sb7_stm__Txdesc.vtx",
-              "transaction descriptor (TL2/LSA/ETL): DLS-pooled, owned \
-               by one domain for the lifetime of each transaction" );
+              "transaction descriptor (TL2/LSA/ETL): held in one \
+               domain's Domain.DLS state for that domain's lifetime" );
             ( "Sb7_stm__Readset.t",
               "read set of a Txdesc.vtx descriptor: owned with it" );
             ( "Sb7_stm__Checkpoint.t",
               "checkpoint marks, write log and undo journal of a \
                Txdesc.vtx descriptor: owned with it" );
             ( "Sb7_stm__Norec.tx",
-              "transaction descriptor: DLS-pooled, owned by one domain \
-               for the lifetime of each transaction" );
+              "transaction descriptor: held in one domain's Domain.DLS \
+               state for that domain's lifetime" );
             ( "Sb7_stm__Astm.txd",
-              "transaction descriptor: DLS-pooled, owned by one domain \
-               for the lifetime of each transaction" );
+              "transaction descriptor: allocated per attempt and held in \
+               one domain's Domain.DLS state while it runs" );
             ( "Sb7_stm__Txdesc.state",
               "Domain.DLS value: per-domain by construction" );
             ( "Sb7_stm__Astm.domain_state",
@@ -529,10 +529,10 @@ let default =
                word" );
             ( "Sb7_runtime__Tournament_runtime",
               Some "try_decide",
-              "decider-only state (prev_snap/occupancy/policy_state): \
-               mutated only after winning the [deciding] CAS; the \
-               exclusion protocol is an atomic flag lock inference \
-               cannot see" );
+              "decider-only state (prev_snap/occupancy/switches/\
+               policy_state): mutated only after winning the \
+               [deciding] CAS; the exclusion protocol is an atomic flag \
+               lock inference cannot see" );
             ( "Sb7_runtime__Tournament_runtime",
               Some "switch_to",
               "called only from the [deciding] CAS winner during the \
@@ -543,8 +543,9 @@ let default =
                workers have joined" );
             ( "Sb7_runtime__Tournament_runtime",
               Some "stats",
-              "reads the champion-occupancy counters quiescently after \
-               a run; staleness is harmless for reporting" );
+              "reads the tournament's own counters (occupancy, \
+               switches) quiescently after a run; staleness is \
+               harmless for reporting" );
             ( "Sb7_stm__Checkpoint",
               Some "restore_ref",
               "restores a lazy write-buffer slot (TL2/LSA) from the \

@@ -142,13 +142,6 @@ let print_summary ppf (r : Run_result.t) =
       r.runtime_counters;
     Format.fprintf ppf "@."
   end;
-  (match Run_result.champion_occupancy r with
-  | [] -> ()
-  | occ ->
-    (* Which substrate held the tournament title, in epochs. *)
-    Format.fprintf ppf "Champion occupancy:  ";
-    List.iter (fun (n, e) -> Format.fprintf ppf " %s=%d" n e) occ;
-    Format.fprintf ppf "@.");
   match r.sanitizer with
   | None -> ()
   | Some v ->

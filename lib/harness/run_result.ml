@@ -105,8 +105,8 @@ let minor_gc_per_1k_commits t = per_1k_commits t t.minor_collections
 let major_gc_per_1k_commits t = per_1k_commits t t.major_collections
 
 (** Minor-heap words allocated per successful operation during the
-    measured window — the allocation budget the descriptor pool and
-    SoA logs are sized against; 0 when nothing committed. *)
+    measured window — the allocation budget the SoA logs are sized
+    against; 0 when nothing committed. *)
 let minor_words_per_commit t =
   let c = Stats.total_successes t.stats in
   if c = 0 then 0. else t.minor_words /. float_of_int c

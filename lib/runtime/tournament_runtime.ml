@@ -272,12 +272,14 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
 
   (* Decider-only state (guarded by the [deciding] CAS, which also
      carries the happens-before edge between successive deciders):
-     policy state, champion-occupancy tallies, and the per-substrate
-     stats snapshot at the last epoch boundary. *)
+     policy state, the tournament's own counters, and the per-substrate
+     stats snapshot at the last epoch boundary. Each epoch decision
+     credits the reigning champion one epoch of [occupancy], so the
+     number of decisions is the occupancy total. *)
   let policy_state = ref Policy.initial
   let occupancy = Array.make Policy.substrate_count 0
+  let switches = ref 0
   let prev_snap = Array.make Policy.substrate_count Stm_stats.zero
-  let own_stats = Stm_stats.create ()
 
   let signals_of_delta ~prev ~cur : Policy.signals =
     let d c =
@@ -328,13 +330,12 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
       let s = signals_of_delta ~prev:prev_snap.(champ) ~cur in
       prev_snap.(champ) <- cur;
       occupancy.(champ) <- occupancy.(champ) + 1;
-      Stm_stats.(incr own_stats epoch_decisions);
       let st = Policy.decide C.policy !policy_state s in
       policy_state := st;
       let next = Policy.champion st in
       if next <> champ then begin
         switch_to next;
-        Stm_stats.(incr own_stats substrate_switches)
+        incr switches
       end;
       Atomic.set deciding false
     end
@@ -391,16 +392,17 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
 
   (* Counters: the four substrates' totals summed (only the champion
      accrues traffic at any time; runs reset first, so the sum is this
-     run's work) plus the meta-runtime's own epoch/switch events and
-     the champion-occupancy breakdown. *)
+     run's work), then the meta-runtime's own: epoch decisions,
+     substrate switches and the champion-occupancy breakdown. *)
   let stats () =
     Stm_stats.to_assoc
       (Array.fold_left
          (fun acc s -> Stm_stats.add acc (s.snapshot ()))
-         (Stm_stats.snapshot own_stats)
-         substrates)
-    @ List.init Policy.substrate_count (fun i ->
-          ("champion_epochs_" ^ Policy.substrate_names.(i), occupancy.(i)))
+         Stm_stats.zero substrates)
+    @ ("epoch_decisions", Array.fold_left ( + ) 0 occupancy)
+      :: ("substrate_switches", !switches)
+      :: List.init Policy.substrate_count (fun i ->
+             ("champion_epochs_" ^ Policy.substrate_names.(i), occupancy.(i)))
 
   (* Reset contract (like every runtime): called quiescent, between
      runs. Re-crowns TL2 through the fence — tvars convert back on
@@ -409,8 +411,8 @@ module Make (C : CONFIG) : Runtime_intf.S = struct
   let reset_stats () =
     switch_to Policy.tl2;
     Array.iter (fun s -> s.reset_stats ()) substrates;
-    Stm_stats.reset own_stats;
     Array.fill occupancy 0 Policy.substrate_count 0;
+    switches := 0;
     Array.iteri (fun i s -> prev_snap.(i) <- s.snapshot ()) substrates;
     policy_state := Policy.initial;
     Padded_atomic.set commit_pool 0

@@ -44,7 +44,8 @@ let register pool size () =
   b
 
 let events = { live = []; retired = [] }
-let buf_key = Domain.DLS.new_key (register events (1 lsl 14))
+let event_buf_size = 1 lsl 14
+let buf_key = Domain.DLS.new_key (register events event_buf_size)
 
 (* Region notes — (sid, region) pairs recorded at tvar creation — live
    in their own per-domain buffers, separate from the event streams:
@@ -179,21 +180,36 @@ let reset_pool pool =
   List.iter (fun b -> b.len <- 0) pool.live
 
 (* Event buffers only: region notes describe the still-live structure
-   and must survive into the next measurement phase's dump. *)
-let reset () = reset_pool events
+   and must survive into the next measurement phase's dump. A dump may
+   hold a live event buffer's array, so each restarts on a fresh one. *)
+let reset () =
+  reset_pool events;
+  List.iter (fun b -> b.data <- Array.make event_buf_size 0) events.live
 
 (* Sid allocators restart per Sanitize.Make instance, so notes from a
    previous run's (now dead) structure would collide with the next
    run's sids; the harness clears them before building a structure. *)
 let reset_notes () = reset_pool notes
 
+(* Trim a buffer's array to its length, so the dump and the buffer
+   share the trace's one copy. The trimmed array is full, so the next
+   append grows into a fresh one and never writes into a dumped stream;
+   a second dump before {!reset} finds nothing to trim and returns the
+   same arrays. *)
+let trim b =
+  if Array.length b.data > b.len then b.data <- Array.sub b.data 0 b.len
+
 let dump () =
-  let streams =
-    events.live @ events.retired
-    |> List.filter (fun b -> b.len > 0)
-    |> List.map (fun b -> Array.sub b.data 0 b.len)
-    |> Array.of_list
-  in
+  let bufs = List.filter (fun b -> b.len > 0) (events.live @ events.retired) in
+  if List.exists (fun b -> Array.length b.data > b.len) bufs then begin
+    (* Trimming copies the trace once more: collect the buffers' growth
+       garbage first and the arrays trimming replaced after, so the
+       caller's analysis allocates in their place. *)
+    Gc.full_major ();
+    List.iter trim bufs;
+    Gc.full_major ()
+  end;
+  let streams = Array.of_list (List.map (fun b -> b.data) bufs) in
   let regions =
     notes.live @ notes.retired
     |> List.map (fun b ->

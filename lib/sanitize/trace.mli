@@ -75,7 +75,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 (** Drop all recorded events, and free the event buffers of exited
-    domains ({!dump} reads them until then). Quiesced only. *)
+    domains ({!dump} reads them until then; a dump taken earlier keeps
+    its streams). Quiesced only. *)
 val reset : unit -> unit
 
 (** Drop all region notes. Each [Sanitize.Make] instance restarts its
@@ -109,7 +110,12 @@ val on_rollback : unit -> unit
     [reads_kept] read and [writes_kept] write events and continues. *)
 val on_partial : reads_kept:int -> writes_kept:int -> unit
 
-(** Snapshot the streams. Quiesced only. *)
+(** Snapshot the streams. Quiesced only. A stream is its buffer's own
+    array, trimmed to the events recorded, not a copy: later recording
+    (after {!reset} or not) never writes into it, and a second dump
+    before {!reset} returns the same streams. A dump that trims runs
+    two major collections, so the arrays trimming replaced are freed
+    before the caller analyzes the trace. *)
 val dump : unit -> dump
 
 (** {1 Persistence} — traces are saved as CI artifacts on failure. *)

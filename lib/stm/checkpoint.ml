@@ -155,7 +155,7 @@ let save_ref ck (slot : 'a ref) = push_undo ck (Obj.repr slot) (Obj.repr !slot)
 
 let restore_ref (slot : Obj.t) (v : Obj.t) = (Obj.obj slot : Obj.t ref) := v
 
-(* Replay the journal in reverse down to [from], scrubbing the slots. *)
+(* Replay the journal in reverse down to [from], clearing the slots. *)
 let undo_to ck ~from ~restore =
   for j = ck.nundo - 1 downto from do
     restore ck.undo_targets.(j) ck.undo_vals.(j);
@@ -246,12 +246,3 @@ let reset ck =
   ck.ncheckpoints <- 0;
   ck.resume_marks <- 0;
   ck.resume_acc <- 0
-
-(* Drop every undo-journal and vlock reference so a pooled descriptor
-   never pins tvar values or atomic cells from its previous life. *)
-let scrub ck =
-  Array.fill ck.wvlocks 0 (Array.length ck.wvlocks) Readset.dummy_vlock;
-  Array.fill ck.undo_targets 0 (Array.length ck.undo_targets) undo_unset;
-  Array.fill ck.undo_vals 0 (Array.length ck.undo_vals) undo_unset;
-  ck.nundo <- 0;
-  reset ck

@@ -168,7 +168,6 @@ let engine =
   Txdesc.create global_stats
     {
       fresh = Txdesc.fresh_vtx;
-      scrub = Txdesc.scrub_vtx;
       (* Precondition: no locks held and no live undo entries (commit
          or rollback ran). *)
       reset = Txdesc.reset_vtx clock;

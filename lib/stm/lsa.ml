@@ -182,7 +182,6 @@ let engine =
   Txdesc.create global_stats
     {
       fresh = Txdesc.fresh_vtx;
-      scrub = Txdesc.scrub_vtx;
       reset = Txdesc.reset_vtx clock;
       commit;
       salvage =

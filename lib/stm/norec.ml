@@ -243,13 +243,6 @@ let engine =
             bloom_skips = 0;
             extensions = 0;
           });
-      scrub =
-        (fun tx ->
-          Hashtbl.reset tx.writes;
-          Array.fill tx.read_tvs 0 (Array.length tx.read_tvs) read_unset;
-          Array.fill tx.read_seen 0 (Array.length tx.read_seen) read_unset;
-          tx.nreads <- 0;
-          tx.wbloom <- 0);
       reset = reset_tx;
       commit;
       salvage = (fun _ -> false);

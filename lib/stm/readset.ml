@@ -157,10 +157,3 @@ let reset rs =
     rs.dedup_ids <- Array.make (2 * initial) (-1);
     rs.dedup_epochs <- Array.make (2 * initial) 0
   end
-
-(* Drop every vlock pointer so a pooled descriptor pins no atomic cell
-   from its previous life. Once per domain lifetime, so the
-   capacity-wide fill is fine. *)
-let scrub rs =
-  Array.fill rs.vlocks 0 (Array.length rs.vlocks) dummy_vlock;
-  rs.n <- 0

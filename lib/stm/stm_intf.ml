@@ -20,17 +20,6 @@ exception Write_in_read_only
     harmless (the next conflict sees the new value). *)
 let partial_abort_enabled = ref true
 
-(** Master switch for descriptor pooling: when on (the default), a
-    domain's first transaction tries to adopt a scrubbed descriptor from
-    the substrate's free pool (donated by exited domains) before
-    allocating a fresh one, and returns it on domain exit. Off means
-    every domain allocates fresh and the pool is bypassed — the bench
-    harness flips it to measure the allocation ablation on the same
-    binary. Consulted only at descriptor acquisition (a domain's first
-    transaction on a substrate), so flipping it mid-run only affects
-    domains spawned afterwards. *)
-let descriptor_pooling_enabled = ref true
-
 module type S = sig
   val name : string
 

@@ -85,24 +85,6 @@ let reads_salvaged = counter "reads_salvaged"
     watermark's prefix was invalid, forcing a full abort *)
 let resume_failures = counter "resume_failures"
 
-(** tournament-runtime epoch boundaries at which the champion policy
-    was (re-)evaluated; recorded by the meta-runtime into its own
-    set, never by a substrate *)
-let epoch_decisions = counter "epoch_decisions"
-
-(** epoch decisions that crowned a new champion substrate through the
-    quiesce fence (tvars then convert on their first access) *)
-let substrate_switches = counter "substrate_switches"
-
-(** domains whose first transaction adopted a recycled descriptor
-    (with its learned log capacities) from the substrate's free pool
-    instead of allocating afresh — at most once per domain lifetime *)
-let descriptor_pool_hits = counter "descriptor_pool_hits"
-
-(** domains that allocated a fresh descriptor because the pool was
-    empty (cold start) or pooling was disabled *)
-let descriptor_pool_misses = counter "descriptor_pool_misses"
-
 let create () = C.create schema
 let zero = C.zero schema
 let add = C.add schema

@@ -1,6 +1,6 @@
 (* The transaction engine shared by TL2, LSA, NOrec and ETL: per-domain
-   state, the descriptor pool, the [atomic] / [atomic_ro] retry loops,
-   and the versioned descriptor of the three vlock-based substrates.
+   state, the [atomic] / [atomic_ro] retry loops, and the versioned
+   descriptor of the three vlock-based substrates.
 
    A substrate supplies its descriptor type and a record of per-attempt
    hooks. The per-read paths ([read], [write], {!Readset.seen},
@@ -14,12 +14,13 @@
 exception Ro_restart
 
 (* Per-domain state: [active] is the running update transaction (if
-   any); [spare] caches the descriptor between transactions so short
-   operations do not reallocate their logs. [ro_rv] is the read version
-   of a running zero-log read-only transaction, or -1 — read-only mode
-   needs no descriptor at all (no read set, no write set), so a single
-   int is its entire footprint. [backoff] is this domain's contention
-   backoff. *)
+   any); [spare] is the domain's one descriptor, allocated by its first
+   update transaction and kept between transactions so short operations
+   do not reallocate their logs; it is garbage once the domain exits.
+   [ro_rv] is the read version of a running zero-log read-only
+   transaction, or -1 — read-only mode needs no descriptor at all (no
+   read set, no write set), so a single int is its entire footprint.
+   [backoff] is this domain's contention backoff. *)
 type 'tx state = {
   mutable active : 'tx option;
   mutable spare : 'tx option;
@@ -28,8 +29,7 @@ type 'tx state = {
 }
 
 type 'tx hooks = {
-  fresh : unit -> 'tx; (* a new descriptor (pool miss) *)
-  scrub : 'tx -> unit; (* drop every captured value before pooling *)
+  fresh : unit -> 'tx; (* the domain's descriptor *)
   reset : 'tx -> unit; (* start a fresh attempt *)
   commit : 'tx -> unit; (* may raise [Conflict] *)
   salvage : 'tx -> bool; (* partial abort: [true] resumes the attempt *)
@@ -37,18 +37,10 @@ type 'tx hooks = {
   flush : 'tx -> unit; (* account the attempt's tallies *)
 }
 
-(* Descriptor free pool (same shape as the {!Sharded_counter} shard
-   pool): a domain's first transaction adopts a scrubbed descriptor
-   donated by an exited domain — keeping the log capacities it learned
-   — or allocates fresh on a cold start. [Domain.at_exit] scrubs and
-   donates the spare, so steady-state respawning workers allocate no
-   descriptor, no log arrays and no write-set table at all. *)
 type 'tx t = {
   key : 'tx state Domain.DLS.key;
   stats : Stm_stats.t;
   hooks : 'tx hooks;
-  pool_lock : Mutex.t;
-  mutable pool : 'tx list;
 }
 
 let create stats hooks =
@@ -63,57 +55,17 @@ let create stats hooks =
           });
     stats;
     hooks;
-    pool_lock = Mutex.create ();
-    pool = [];
   }
 
 let state t = Domain.DLS.get t.key
 
-let release t state =
-  match state.spare with
-  | None -> ()
-  | Some tx ->
-    state.spare <- None;
-    t.hooks.scrub tx;
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock t.pool_lock;
-      t.pool <- tx :: t.pool;
-      Mutex.unlock t.pool_lock
-    end
-
-(* First descriptor acquisition on this domain: pool pop or fresh
-   allocation. Runs at most once per domain lifetime ([spare] holds the
-   descriptor from then on), which is also the only point the at-exit
-   donation needs registering. The backoff stream is reseeded here, as
-   the harness publishes its run seed before the first transaction. *)
+(* The domain's first update transaction allocates its descriptor. The
+   backoff stream is reseeded here, as the harness publishes its run
+   seed before the first transaction. *)
 let acquire t state =
-  let popped =
-    if !Stm_intf.descriptor_pooling_enabled then begin
-      Mutex.lock t.pool_lock;
-      let popped =
-        match t.pool with
-        | tx :: rest ->
-          t.pool <- rest;
-          Some tx
-        | [] -> None
-      in
-      Mutex.unlock t.pool_lock;
-      popped
-    end
-    else None
-  in
-  let tx =
-    match popped with
-    | Some tx ->
-      Stm_stats.(incr t.stats descriptor_pool_hits);
-      tx
-    | None ->
-      Stm_stats.(incr t.stats descriptor_pool_misses);
-      t.hooks.fresh ()
-  in
+  let tx = t.hooks.fresh () in
   state.backoff <- Backoff.for_domain ();
   state.spare <- Some tx;
-  Domain.at_exit (fun () -> release t state);
   tx
 
 let active t = (state t).active
@@ -264,15 +216,6 @@ let fresh_vtx () =
     bloom_skips = 0;
     extensions = 0;
   }
-
-(* Drop every heap reference the descriptor still holds (write-set
-   entries, vlock pointers, undo slots) so a pooled descriptor never
-   pins tvar values or atomic cells from its previous life. *)
-let scrub_vtx tx =
-  Hashtbl.reset tx.writes;
-  tx.wbloom <- 0;
-  Readset.scrub tx.rs;
-  Checkpoint.scrub tx.ck
 
 let reset_vtx clock tx =
   tx.rv <- Global_clock.now clock;

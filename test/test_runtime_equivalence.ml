@@ -311,20 +311,21 @@ let test_checkpoint_resume () =
         (aborts >= 1))
     [ ("tl2", Cp_tl2.run); ("lsa", Cp_lsa.run); ("etl", Cp_etl.run) ]
 
-(* The same probe run from short-lived domains, twice: the second
-   execution's scanner adopts the descriptor the first one donated to
-   the substrate pool on exit, so identical salvage counters prove the
-   checkpoint marks and partial-abort rollback survive log recycling
-   (watermark truncation on a reused structure-of-arrays log) exactly
-   as on a fresh descriptor. *)
-let test_checkpoint_resume_on_pooled_descriptor () =
-  let run_in_domain () =
-    Domain.join (Domain.spawn (fun () -> Cp_tl2.run ~checkpointed:true ()))
+(* The same probe run twice in one fresh domain: the second scan
+   reuses the descriptor the first one left in the domain's [spare], so
+   identical salvage counters prove the checkpoint marks and
+   partial-abort rollback survive reuse (watermark truncation on a
+   structure-of-arrays log that already grew) exactly as on a fresh
+   descriptor. *)
+let test_checkpoint_resume_on_reused_descriptor () =
+  let first, second =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let first = Cp_tl2.run ~checkpointed:true () in
+           (first, Cp_tl2.run ~checkpointed:true ())))
   in
-  let first = run_in_domain () in
-  let second = run_in_domain () in
   Alcotest.(check (triple int int int))
-    "salvage counters identical on a recycled descriptor" first second
+    "salvage counters identical on a reused descriptor" first second
 
 (* Adaptive tournament: a forced phase change (read-only storm, then a
    write storm) on a short-epoch instance must move the championship —
@@ -492,9 +493,11 @@ end)
 
 (* Each [Benchmark.run] spawns fresh workers, so the fence must forget
    a domain once it exits: 500 short-lived domains that each commit
-   one transaction may not grow the live heap by a word apiece. One
-   warm-up domain first fills the substrates' descriptor and counter
-   pools, which later domains recycle. *)
+   one transaction may not grow the live heap by a word apiece. The
+   same bound guards that an exited domain's transaction descriptor,
+   allocated by its first transaction, becomes garbage. One warm-up
+   domain first fills the substrates' counter-shard pools, which later
+   domains recycle. *)
 let test_tournament_forgets_exited_domains () =
   let module R = Fence_tournament in
   let tv = R.make 0 and incr1 = wr_profile "fence-incr" in
@@ -601,8 +604,8 @@ let () =
             test_demotion;
           Alcotest.test_case "checkpoint resume matches full restart" `Quick
             test_checkpoint_resume;
-          Alcotest.test_case "checkpoint resume on a pooled descriptor"
-            `Quick test_checkpoint_resume_on_pooled_descriptor;
+          Alcotest.test_case "checkpoint resume on a reused descriptor"
+            `Quick test_checkpoint_resume_on_reused_descriptor;
           Alcotest.test_case "tournament adapts across a phase change" `Quick
             test_tournament_phase_change;
           Alcotest.test_case "tournament hysteresis never flaps" `Quick

@@ -629,6 +629,43 @@ let test_exited_domain_buffers_freed () =
     (Printf.sprintf "live heap grew %d words over 50 domains" grown)
     true (grown < 1 lsl 12)
 
+(* A dump holds the trace's one copy: each stream is its buffer's own
+   array. It must still behave as a snapshot: a second dump before a
+   reset returns the same streams, and no later recording — after a
+   reset or without one — writes into a dumped stream. *)
+let test_dump_is_a_snapshot () =
+  let commits n =
+    for _ = 1 to n do
+      Trace.on_commit ()
+    done
+  in
+  let unchanged what (d : Trace.dump) copy =
+    Alcotest.(check bool) what true (d.Trace.streams = copy)
+  in
+  Trace.reset ();
+  Domain.join (Domain.spawn (fun () -> commits 5));
+  commits 3;
+  let d = Trace.dump () in
+  let copy = Array.map Array.copy d.Trace.streams in
+  Alcotest.(check (list int))
+    "one stream per domain, each holding only its events" [ 9; 15 ]
+    (List.sort compare
+       (Array.to_list (Array.map Array.length d.Trace.streams)));
+  let again = Trace.dump () in
+  unchanged "a second dump returns the same streams" again copy;
+  Alcotest.(check bool) "and shares their arrays, copying nothing" true
+    (Array.for_all2 ( == ) d.Trace.streams again.Trace.streams);
+  Trace.reset ();
+  commits 4;
+  unchanged "recording after a reset leaves the dump alone" d copy;
+  let d' = Trace.dump () in
+  let copy' = Array.map Array.copy d'.Trace.streams in
+  Alcotest.(check int) "the next dump holds the new events" 12
+    (Array.length d'.Trace.streams.(0));
+  commits 1;
+  unchanged "recording after a dump leaves it alone" d' copy';
+  Trace.reset ()
+
 (* -- The wrapper runtime -------------------------------------------- *)
 
 module Seq = Sb7_runtime.Seq_runtime
@@ -839,6 +876,8 @@ let () =
             test_wrapper_records;
           Alcotest.test_case "exited domains' buffers freed" `Quick
             test_exited_domain_buffers_freed;
+          Alcotest.test_case "a dump is a snapshot" `Quick
+            test_dump_is_a_snapshot;
         ] );
       ( "footprint",
         [

@@ -671,54 +671,26 @@ let test_counters_exported () =
       "ro_zero_log_commits";
       "ro_inline_revalidations";
       "ro_demotions";
-      "descriptor_pool_hits";
-      "descriptor_pool_misses";
     ]
 
-(* Descriptor pooling: domains that exit donate their descriptor to
-   the substrate's free pool, later domains adopt it (pool hits),
-   concurrent adopters never share one (the shared counter's total
-   stays exact — aliased descriptors would corrupt it), and the toggle
-   forces fresh allocation (misses only, nothing donated). *)
-let test_pool_recycling (module S : STM) () =
-  S.reset_stats ();
+(* Short-lived domains: each domain's first update transaction
+   allocates its own descriptor, so two domains running at once never
+   share one — aliased logs would lose updates. *)
+let test_domain_waves (module S : STM) () =
   let tv = S.make 0 in
   let incr_n n () =
     for _ = 1 to n do
       S.atomic (fun () -> S.write tv (S.read tv + 1))
     done
   in
-  (* Wave 1: two domains run and exit, leaving (at least) two
-     descriptors in the pool. *)
-  let ds = List.init 2 (fun _ -> Domain.spawn (incr_n 100)) in
-  List.iter Domain.join ds;
-  let s1 = S.stats () in
-  (* Wave 2: two fresh domains must adopt donated descriptors, and run
-     concurrently without losing updates. *)
-  let ds = List.init 2 (fun _ -> Domain.spawn (incr_n 500)) in
-  List.iter Domain.join ds;
-  Alcotest.(check int) "no lost updates on recycled descriptors" 1200
-    (S.read tv);
-  let s2 = S.stats () in
-  let open Sb7_stm.Stm_stats in
-  Alcotest.(check bool)
-    (Printf.sprintf "wave-2 domains adopted pooled descriptors (%d -> %d)"
-       (get s1 descriptor_pool_hits) (get s2 descriptor_pool_hits))
-    true
-    (get s2 descriptor_pool_hits >= get s1 descriptor_pool_hits + 2);
-  (* Toggle off: a third wave allocates fresh and donates nothing. *)
-  Sb7_stm.Stm_intf.descriptor_pooling_enabled := false;
-  Fun.protect
-    ~finally:(fun () -> Sb7_stm.Stm_intf.descriptor_pooling_enabled := true)
-    (fun () ->
-      List.iter Domain.join (List.init 2 (fun _ -> Domain.spawn (incr_n 10))));
-  let s3 = S.stats () in
-  Alcotest.(check int) "toggle off: no new hits" (get s2 descriptor_pool_hits)
-    (get s3 descriptor_pool_hits);
-  Alcotest.(check bool) "toggle off: fresh descriptors counted as misses"
-    true
-    (get s3 descriptor_pool_misses >= get s2 descriptor_pool_misses + 2);
-  Alcotest.(check int) "toggle off: still no lost updates" 1220 (S.read tv)
+  let wave n =
+    List.iter Domain.join (List.init 2 (fun _ -> Domain.spawn (incr_n n)))
+  in
+  wave 100;
+  wave 500;
+  Alcotest.(check int) "two waves lose no update" 1200 (S.read tv);
+  wave 10;
+  Alcotest.(check int) "a third wave loses no update" 1220 (S.read tv)
 
 let specific_suite =
   [
@@ -745,14 +717,14 @@ let specific_suite =
     Alcotest.test_case "norec bloom-filtered write-set lookup" `Quick
       (test_bloom_skips_and_correctness (module Sb7_stm.Norec));
     Alcotest.test_case "new counters exported" `Quick test_counters_exported;
-    Alcotest.test_case "tl2 descriptor pool recycling" `Slow
-      (test_pool_recycling (module Sb7_stm.Tl2));
-    Alcotest.test_case "lsa descriptor pool recycling" `Slow
-      (test_pool_recycling (module Sb7_stm.Lsa));
-    Alcotest.test_case "norec descriptor pool recycling" `Slow
-      (test_pool_recycling (module Sb7_stm.Norec));
-    Alcotest.test_case "etl descriptor pool recycling" `Slow
-      (test_pool_recycling (module Sb7_stm.Etl));
+    Alcotest.test_case "tl2 domain waves lose no update" `Slow
+      (test_domain_waves (module Sb7_stm.Tl2));
+    Alcotest.test_case "lsa domain waves lose no update" `Slow
+      (test_domain_waves (module Sb7_stm.Lsa));
+    Alcotest.test_case "norec domain waves lose no update" `Slow
+      (test_domain_waves (module Sb7_stm.Norec));
+    Alcotest.test_case "etl domain waves lose no update" `Slow
+      (test_domain_waves (module Sb7_stm.Etl));
   ]
 
 let () =

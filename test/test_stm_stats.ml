@@ -119,15 +119,11 @@ let test_every_counter_recorded_and_reset () =
         Stats.incr st Stats.ro_demotions;
         Stats.bump s Stats.checkpoints 2;
         Stats.record_partial_abort st ~reads_salvaged:4;
-        Stats.incr st Stats.resume_failures;
-        Stats.incr st Stats.epoch_decisions;
-        Stats.incr st Stats.substrate_switches;
-        Stats.incr st Stats.descriptor_pool_hits;
-        Stats.incr st Stats.descriptor_pool_misses);
+        Stats.incr st Stats.resume_failures);
     ];
   let live = Stats.to_assoc (Stats.snapshot stats) in
-  Alcotest.(check bool) "at least the 21 known counters" true
-    (List.length live >= 21);
+  Alcotest.(check bool) "at least the 17 known counters" true
+    (List.length live >= 17);
   List.iter
     (fun (k, v) ->
       if v = 0 then
