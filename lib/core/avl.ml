@@ -22,7 +22,7 @@ let height = function
   | Node { height; _ } -> height
 
 let node left key value right =
-  Node { left; key; value; right; height = 1 + max (height left) (height right) }
+  Node { left; key; value; right; height = 1 + Int.max (height left) (height right) }
 
 let balance_factor = function
   | Leaf -> 0
@@ -144,7 +144,7 @@ let rec well_formed cmp = function
     in
     keys_ok
     && abs (height n.left - height n.right) <= 1
-    && n.height = 1 + max (height n.left) (height n.right)
+    && n.height = 1 + Int.max (height n.left) (height n.right)
     && well_formed cmp n.left
     && well_formed cmp n.right
 

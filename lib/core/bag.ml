@@ -50,10 +50,11 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
 
   let clear t = R.write t []
 
-  (** A uniformly random element, or operation failure on an empty bag
-      (the specified ST1/ST2/SM4 failure mode). *)
+  (** A uniformly random element, or operation failure with message
+      [what] on an empty bag (the specified ST1/ST2/SM4 failure
+      mode). *)
   let random_element rng t ~what =
     match R.read t with
-    | [] -> Common.fail "%s: empty" what
+    | [] -> Common.fail what
     | l -> Sb_random.element rng l
 end

@@ -7,4 +7,7 @@
     errors. *)
 exception Operation_failed of string
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Operation_failed s)) fmt
+(** Fail the running operation. [msg] is a prebuilt string, not a
+    format: up to half of a run's operations fail by specification, so
+    the failure path formats nothing. *)
+let fail msg = raise (Operation_failed msg)

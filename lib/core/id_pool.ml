@@ -9,7 +9,7 @@
 
 module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   type t = {
-    pool_name : string;
+    exhausted : string; (* the failure message of [get] *)
     capacity : int;
     free : int list R.tvar; (* IDs not currently in use *)
     free_count : int R.tvar;
@@ -20,7 +20,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
     assert (capacity > 0);
     Sb7_runtime.Region_ctx.with_region Sb7_runtime.Region.Indexes (fun () ->
         {
-          pool_name = name;
+          exhausted = "id pool " ^ name ^ " exhausted";
           capacity;
           free = R.make (List.init capacity (fun i -> i + 1));
           free_count = R.make capacity;
@@ -33,7 +33,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       exhausted, i.e. the structure reached its maximum size. *)
   let get t =
     match R.read t.free with
-    | [] -> Common.fail "id pool %s exhausted" t.pool_name
+    | [] -> Common.fail t.exhausted
     | id :: rest ->
       R.write t.free rest;
       R.write t.free_count (R.read t.free_count - 1);

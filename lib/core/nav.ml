@@ -1,5 +1,10 @@
 (** Shared traversal helpers over the object graph. *)
 
+(* Visited sets keyed by object id: [Hashtbl.Make (Int)] compares and
+   hashes ids monomorphically, where the generic [Hashtbl] calls the
+   polymorphic compare on every probe. *)
+module Id_set = Hashtbl.Make (Int)
+
 module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   module T = Types.Make (R)
   module S = Setup.Make (R)
@@ -9,16 +14,16 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       to each part exactly once. Returns the number of parts visited
       (always the whole graph: construction guarantees connectivity). *)
   let dfs_atomic_graph (root : T.atomic_part) f =
-    let visited = Hashtbl.create 64 in
+    let visited = Id_set.create 64 in
     let rec go (part : T.atomic_part) =
-      if not (Hashtbl.mem visited part.T.ap_id) then begin
-        Hashtbl.add visited part.T.ap_id ();
+      if not (Id_set.mem visited part.T.ap_id) then begin
+        Id_set.add visited part.T.ap_id ();
         f part;
         List.iter (fun (c : T.connection) -> go c.T.conn_to) (R.read part.T.ap_to)
       end
     in
     go root;
-    Hashtbl.length visited
+    Id_set.length visited
 
   (** Depth-first walk of the assembly tree from [root]. *)
   let rec iter_assemblies (root : T.complex_assembly) ~on_complex ~on_base =
@@ -88,26 +93,26 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       it has none (the specified ST1/ST2 failure mode). *)
   let random_component rng (ba : T.base_assembly) =
     match R.read ba.T.ba_components with
-    | [] -> Common.fail "base assembly %d has no composite parts" ba.T.ba_id
+    | [] -> Common.fail "base assembly has no composite parts"
     | components -> Sb_random.element rng components
 
   (** Walk from [start] up through ascendant complex assemblies to the
       root, visiting each at most once (the ST3 bottom-up traversal);
       [f] is applied per first visit. Returns the visit count. *)
   let ascend_complex_assemblies (bas : T.base_assembly list) f =
-    let visited = Hashtbl.create 16 in
+    let visited = Id_set.create 16 in
     let rec up (ca : T.complex_assembly option) =
       match ca with
       | None -> ()
       | Some c ->
-        if not (Hashtbl.mem visited c.T.ca_id) then begin
-          Hashtbl.add visited c.T.ca_id ();
+        if not (Id_set.mem visited c.T.ca_id) then begin
+          Id_set.add visited c.T.ca_id ();
           f c;
           up c.T.ca_super
         end
     in
     List.iter (fun (ba : T.base_assembly) -> up ba.T.ba_super) bas;
-    Hashtbl.length visited
+    Id_set.length visited
 
   (* Random existing-or-not IDs, drawn over each pool's full capacity:
      lookups miss when the ID is currently unused — the specified
@@ -129,23 +134,23 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
     let id = random_atomic_part_id rng setup in
     match setup.S.ap_id_index.get id with
     | Some p -> p
-    | None -> Common.fail "no atomic part with id %d" id
+    | None -> Common.fail "no atomic part with the drawn id"
 
   let lookup_composite_part rng setup =
     let id = random_composite_part_id rng setup in
     match setup.S.cp_id_index.get id with
     | Some p -> p
-    | None -> Common.fail "no composite part with id %d" id
+    | None -> Common.fail "no composite part with the drawn id"
 
   let lookup_base_assembly rng setup =
     let id = random_base_assembly_id rng setup in
     match setup.S.ba_id_index.get id with
     | Some b -> b
-    | None -> Common.fail "no base assembly with id %d" id
+    | None -> Common.fail "no base assembly with the drawn id"
 
   let lookup_complex_assembly rng setup =
     let id = random_complex_assembly_id rng setup in
     match setup.S.ca_id_index.get id with
     | Some c -> c
-    | None -> Common.fail "no complex assembly with id %d" id
+    | None -> Common.fail "no complex assembly with the drawn id"
 end

@@ -38,7 +38,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   }
 
   let random_type rng params =
-    Printf.sprintf "type #%d" (Sb_random.int rng params.Parameters.num_types)
+    Text.type_name (Sb_random.int rng params.Parameters.num_types)
 
   (* Remove the first occurrence of an element from a plain list (used
      for the date-index buckets); returns the list unchanged if

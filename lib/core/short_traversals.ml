@@ -50,8 +50,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
     in
     match R.read cp.T.cp_used_in with
     | [] ->
-      Common.fail "composite part %d not used in any base assembly"
-        cp.T.cp_id
+      Common.fail "composite part not used in any base assembly"
     | bas -> Nav.ascend_complex_assemblies bas visit_ca
 
   (** ST3 (T7 in OO7): bottom-up traversal to the root; counts complex

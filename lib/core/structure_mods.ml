@@ -39,7 +39,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
   let sm4 rng setup =
     let ba = Nav.lookup_base_assembly rng setup in
     match R.read ba.T.ba_components with
-    | [] -> Common.fail "SM4: base assembly %d has no links" ba.T.ba_id
+    | [] -> Common.fail "SM4: base assembly has no links"
     | components ->
       let cp = Sb_random.element rng components in
       ignore (S.B.remove_one ~eq:S.eq_cp ba.T.ba_components cp);
@@ -70,7 +70,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       | None -> assert false
     in
     if List.length (R.read parent.T.ca_sub) <= 1 then
-      Common.fail "SM6: base assembly %d is an only child" ba.T.ba_id;
+      Common.fail "SM6: base assembly is an only child";
     S.detach_assembly parent (T.Base ba);
     S.dispose_base_assembly setup ba;
     ba.T.ba_id
@@ -129,7 +129,7 @@ module Make (R : Sb7_runtime.Runtime_intf.S) = struct
       | Some p -> p
     in
     if List.length (R.read parent.T.ca_sub) <= 1 then
-      Common.fail "SM8: complex assembly %d is an only child" ca.T.ca_id;
+      Common.fail "SM8: complex assembly is an only child";
     S.detach_assembly parent (T.Complex ca);
     let deleted = ref 0 in
     let rec dispose = function

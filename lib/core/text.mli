@@ -3,7 +3,11 @@
     Texts are generated by repeating a seed phrase up to a target size,
     so they contain the substrings the textual operations look for:
     "I am" (toggled with "This is" by T5/ST7) and the character 'I'
-    (counted by T4/OP4, case-toggled by OP11). *)
+    (counted by T4/OP4, case-toggled by OP11).
+
+    The functions run on operation paths and in the structure builder:
+    none formats, calls a closure per character or allocates anything
+    but its result. *)
 
 (** Repeat [phrase] until the result is exactly [size] characters
     ([""] if [size <= 0]; [phrase] must be non-empty). *)
@@ -12,8 +16,12 @@ val generate : phrase:string -> size:int -> string
 val document_phrase : part_id:int -> string
 val manual_phrase : module_id:int -> string
 
-(** The indexed document title for a composite part. *)
+(** The indexed document title for a composite part,
+    ["Composite Part #<part_id>"]. *)
 val document_title : part_id:int -> string
+
+(** The type attribute of objects and connections, ["type #<id>"]. *)
+val type_name : int -> string
 
 val count_char : string -> char -> int
 

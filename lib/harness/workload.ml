@@ -146,8 +146,10 @@ let cdf ratios =
    a degenerate all-zero tail must still pick a valid index), matching
    the linear scan's [i >= n - 1] guard. Sampling happens once per
    operation pick on every worker thread, so over 45 operations this
-   replaces an average ~23-probe walk with ~6. *)
-let sample cdf u =
+   replaces an average ~23-probe walk with ~6. The annotations make
+   [u < cdf.(mid)] a float compare rather than a call to the
+   polymorphic one. *)
+let sample (cdf : float array) (u : float) =
   let n = Array.length cdf in
   let lo = ref 0 and hi = ref (n - 1) in
   (* invariant: answer is in [lo, hi] *)

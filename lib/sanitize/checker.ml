@@ -740,17 +740,26 @@ let analyze ~profile (dump : Trace.dump) =
     (* The named locks held, as a sorted (uid, exclusive) list, are
        interned to a set id; set 0 is the empty set. A stream moves from
        set to set at each named acquire and release, and an acquire
-       first checks the declared lock order against the locks held. *)
+       first checks the declared lock order against the locks held.
+       Each set remembers the transitions taken from it, keyed
+       [3 * uid + mode] (mode 0 a release, 1 a shared and 2 an
+       exclusive acquire), so only the first of each sorts and hashes.
+       Skipping the order check on a repeat reports nothing less: a
+       pair it reports is reported once, at its first occurrence, and
+       that is the first occurrence of its transition too. *)
     let set_ids : ((int * bool) list, int) Hashtbl.t = Hashtbl.create 16 in
     let sets = ref [| [] |] and n_sets = ref 1 in
+    let taken : (int * int) list array ref = ref [| [] |] in
     Hashtbl.add set_ids [] 0;
     let intern l =
       match Hashtbl.find_opt set_ids l with
       | Some id -> id
       | None ->
         let id = !n_sets in
-        if id = Array.length !sets then
+        if id = Array.length !sets then begin
           sets := Array.append !sets (Array.make id []);
+          taken := Array.append !taken (Array.make id [])
+        end;
         !sets.(id) <- l;
         incr n_sets;
         Hashtbl.add set_ids l id;
@@ -781,6 +790,22 @@ let analyze ~profile (dump : Trace.dump) =
       intern (List.sort compare ((uid, excl) :: List.remove_assoc uid held))
     in
     let release set uid = intern (List.remove_assoc uid !sets.(set)) in
+    let rec find_taken (key : int) = function
+      | [] -> -1
+      | (k, target) :: rest -> if k = key then target else find_taken key rest
+    in
+    let transition dom set uid mode =
+      let key = (3 * uid) + mode in
+      match find_taken key !taken.(set) with
+      | -1 ->
+        let target =
+          if mode = 0 then release set uid
+          else acquire dom set uid ~excl:(mode = 2)
+        in
+        !taken.(set) <- (key, target) :: !taken.(set);
+        target
+      | target -> target
+    in
     (* Access signature = the locks that can order the access: the
        named-lock set held, plus the accessed tvar's own per-tvar lock
        while it is held (bound by the trace.mli contract), encoded as
@@ -856,13 +881,13 @@ let analyze ~profile (dump : Trace.dump) =
                end;
                pending := k
              end
-             else set := acquire dom !set uid ~excl
+             else set := transition dom !set uid (if excl then 2 else 1)
            end
            else if tag = Trace.tag_release then begin
              let uid = stream.(!i + 1) in
              if uid >= anonymous_base then
                anon_mode.(uid - anonymous_base - alo) <- 0
-             else set := release !set uid
+             else set := transition dom !set uid 0
            end
            else if tag = Trace.tag_read then
              record ~bound stream.(!i + 1) ~write:false

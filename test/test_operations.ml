@@ -468,6 +468,31 @@ let test_by_code_lookup () =
         Alcotest.failf "unknown code %S resolved to %s" bogus op.code)
     [ "NOPE"; ""; "t1"; "T99"; "SM"; "OP" ]
 
+(* The operation path builds no format string and allocates nothing
+   per character: ST4 (100 title lookups) and T5 (a text rewrite of
+   every document) stay under a minor-word budget per run. With
+   [Printf.sprintf] titles ST4 allocated about 5,300 words per run,
+   and with a [String.sub] per text position T5 about 17,500. *)
+let minor_words_per_run code ~runs =
+  let setup = I.Setup.create ~seed:42 params in
+  let rng = Rand.create ~seed:13 in
+  let run () = try ignore (run_op setup rng code) with Failed _ -> () in
+  run ();
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    run ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let test_allocation_budget () =
+  List.iter
+    (fun (code, budget) ->
+      let words = minor_words_per_run code ~runs:50 in
+      if words > budget then
+        Alcotest.failf "%s allocates %.0f minor words per run (budget %.0f)"
+          code words budget)
+    [ ("ST4", 2_500.); ("T5", 3_000.) ]
+
 let suite =
   [
     Alcotest.test_case "by_code lookup table" `Quick test_by_code_lookup;
@@ -528,6 +553,8 @@ let suite =
     Alcotest.test_case "SM8 deletes subtree" `Quick test_sm8_deletes_subtree;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "reduced operation set" `Quick test_reduced_set;
+    Alcotest.test_case "ST4 and T5 minor-word budget" `Quick
+      test_allocation_budget;
   ]
 
 let () = Alcotest.run "operations" [ ("operations", suite) ]
