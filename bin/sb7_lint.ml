@@ -30,20 +30,24 @@ let run paths json sarif strict_local allow_stale source_root rules timing =
   if sarif then print_string (Sb7_analysis.Lint_engine.render_sarif result)
   else if json then print_string (Sb7_analysis.Lint_engine.render_json result)
   else print_string (Sb7_analysis.Lint_engine.render_text result);
-  (* Under --strict-local a stale suppression is an error, not a
-     warning: the audit mode demands every in-source waiver still earn
-     its keep. --allow-stale restores the warning during refactors. *)
+  (* Under --strict-local a stale suppression or sanction is an error,
+     not a warning: the audit mode demands every in-source waiver and
+     every Lint_config sanction still earn its keep. --allow-stale
+     restores the warning during refactors. *)
   let stale_fails =
-    strict_local && (not allow_stale)
-    && result.Sb7_analysis.Lint_engine.stale_suppressions <> []
+    strict_local && (not allow_stale) && Sb7_analysis.Lint_engine.stale result
   in
-  if stale_fails && (sarif || json) then
+  if stale_fails && (sarif || json) then begin
     List.iter
       (fun (file, line, rule) ->
         Printf.eprintf
           "%s:%d: error: stale suppression for rule %S matches no finding\n"
           file line rule)
       result.Sb7_analysis.Lint_engine.stale_suppressions;
+    List.iter
+      (fun line -> prerr_endline ("error: " ^ line))
+      (Sb7_analysis.Lint_engine.stale_sanction_lines result)
+  end;
   if result.Sb7_analysis.Lint_engine.findings = [] && not stale_fails then 0
   else 1
 
@@ -66,15 +70,18 @@ let sarif_arg =
 let strict_local_arg =
   let doc =
     "Also report provably transaction-local mutable state as notices, \
-     and fail (exit 1) on stale suppression comments — a full-purity \
-     audit where every waiver must still match a finding."
+     and fail (exit 1) on stale suppression comments and on \
+     Lint_config sanctions naming a unit or binding the scanned tree \
+     lacks — a full-purity audit where every waiver must still match a \
+     finding."
   in
   Arg.(value & flag & info [ "strict-local" ] ~doc)
 
 let allow_stale_arg =
   let doc =
-    "With $(b,--strict-local): downgrade stale suppressions back to \
-     warnings (escape hatch for refactors that move findings around)."
+    "With $(b,--strict-local): downgrade stale suppressions and \
+     sanctions back to warnings (escape hatch for refactors that move \
+     findings around)."
   in
   Arg.(value & flag & info [ "allow-stale" ] ~doc)
 

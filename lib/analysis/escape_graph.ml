@@ -127,7 +127,7 @@ type access = {
   a_target : target;
   a_type : string option;
       (** type-constructor key of the target (of the record base for
-          field accesses), e.g. ["Sb7_stm__Tl2.tx"] — matched against
+          field accesses), e.g. ["Sb7_stm__Txdesc.vtx"] — matched against
           the configured confined/tvar-managed type tiers *)
   a_locks : string list;  (** lock names held at the access site *)
   a_in_spawn : bool;
@@ -233,7 +233,7 @@ let is_dls_get e =
 
 (* Type attribution follows the innermost record base: the access
    [tx.log_vals.(i) <- v] is an access to the transaction descriptor
-   [tx], and [Sb7_stm__Tl2.tx] — not [array] — is the brand the
+   [tx], and [Sb7_stm__Txdesc.vtx] — not [array] — is the brand the
    confined/tvar-managed tiers match on. *)
 let rec type_base (e : expression) =
   match e.exp_desc with Texp_field (b, _, _) -> type_base b | _ -> e

@@ -334,8 +334,9 @@ let default =
         (* The sanctioned Obj sites, each documented in DESIGN.md §3
            ("Typed transaction logs"):
            Padded_atomic exists to defeat false sharing and is Obj
-           throughout; the TL2/LSA/NOrec lazy write buffers need one
-           cast per module to erase tvar payload types; and the
+           throughout; the lazy write buffers of Mvstm (TL2 and LSA)
+           and NOrec need one cast per module to erase tvar payload
+           types; and the
            structure-of-arrays logs erase their entries into parallel
            [Obj.t] arrays through a fixed set of capture/restore
            helpers (the shared undo journal's in Checkpoint, ETL's
@@ -345,8 +346,7 @@ let default =
         r5_allowed =
           [
             ("Sb7_stm__Padded_atomic", None);
-            ("Sb7_stm__Tl2", Some "cast_ref");
-            ("Sb7_stm__Lsa", Some "cast_ref");
+            ("Sb7_stm__Mvstm", Some "cast_ref");
             ("Sb7_stm__Norec", Some "cast_ref");
             ("Sb7_stm__Checkpoint", Some "undo_unset");
             ("Sb7_stm__Checkpoint", Some "save_ref");
@@ -414,8 +414,7 @@ let default =
                   (fun b -> (unit_name, Some b))
                   [ "atomic"; "atomic_ro"; "read"; "write" ])
               [
-                "Sb7_stm__Tl2";
-                "Sb7_stm__Lsa";
+                "Sb7_stm__Mvstm";
                 "Sb7_stm__Norec";
                 "Sb7_stm__Etl";
                 "Sb7_stm__Astm";
@@ -478,9 +477,10 @@ let default =
            checks — cover. *)
         r7_tvar_types =
           [
-            ( "Sb7_stm__Lsa.tvar",
-              "version-list head CAS-managed; content written under \
-               the version-lock" );
+            ( "Sb7_stm__Mvstm.tvar",
+              "content and the older-version ring written under the \
+               version-lock (at commit, or by a versioned \
+               non-transactional store)" );
             ( "Sb7_stm__Etl.tvar",
               "content written encounter-time with the tvar's \
                write-lock held" );
@@ -551,12 +551,7 @@ let default =
               "restores a lazy write-buffer slot (TL2/LSA) from the \
                per-transaction undo journal during a partial rollback; \
                the slot is transaction-private until commit" );
-            ( "Sb7_stm__Tl2",
-              Some "write",
-              "updates the transaction-private redo slot (w.value ref) \
-               of a write-set entry; published to the tvar only at \
-               commit under the version-lock" );
-            ( "Sb7_stm__Lsa",
+            ( "Sb7_stm__Mvstm",
               Some "write",
               "updates the transaction-private redo slot (w.value ref) \
                of a write-set entry; published to the tvar only at \

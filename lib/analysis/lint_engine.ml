@@ -25,6 +25,10 @@ type result = {
   suppressed : Lint_finding.t list;
   stale_suppressions : (string * int * string) list;
       (** (file, line, rule) suppression entries that matched nothing *)
+  stale_sanctions : (string * string * string option) list;
+      (** (list, unit, binding) entries of [r5_allowed], [r7_roots] or
+          [r7_allowed] naming a unit or top-level binding the scanned
+          tree lacks *)
   units_checked : string list;
   timings : (string * float) list;
       (** (stage, seconds) per engine stage; empty unless the caller
@@ -45,6 +49,54 @@ let closure ~(edges : (string, string list) Hashtbl.t) ~seeds =
   in
   List.iter visit seeds;
   reached
+
+(* Configured sanctions whose unit or top-level binding (nested
+   modules and functor bodies flattened, as R5 and R7 see them) is
+   absent: a leftover entry would silently bless any later binding of
+   that name. Only the rules in scope are checked. *)
+let stale_sanctions (config : Lint_config.t) units =
+  let bindings = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      let names = Hashtbl.create 32 in
+      Escape_graph.walk_structure
+        ~on_module:(fun _ _ -> ())
+        ~on_item:(fun item ->
+          match item.Typedtree.str_desc with
+          | Typedtree.Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+                | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _)
+                  ->
+                  Hashtbl.replace names (Ident.name id) ()
+                | _ -> ())
+              vbs
+          | _ -> ())
+        u.Cmt_unit.structure;
+      Hashtbl.replace bindings u.Cmt_unit.name names)
+    units;
+  let stale list entries =
+    List.filter_map
+      (fun (u, b) ->
+        let present =
+          match (Hashtbl.find_opt bindings u, b) with
+          | None, _ -> false
+          | Some _, None -> true
+          | Some names, Some b -> Hashtbl.mem names b
+        in
+        if present then None else Some (list, u, b))
+      entries
+  in
+  let r5 = config.Lint_config.r5 and r7 = config.Lint_config.r7 in
+  (if r5.Lint_config.r5_prefixes = [] then []
+   else stale "r5_allowed" r5.Lint_config.r5_allowed)
+  @
+  if r7.Lint_config.r7_prefixes = [] then []
+  else
+    stale "r7_roots" r7.Lint_config.r7_roots
+    @ stale "r7_allowed"
+        (List.map (fun (u, b, _) -> (u, b)) r7.Lint_config.r7_allowed)
 
 let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
   let tacc : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
@@ -305,9 +357,27 @@ let run ~(config : Lint_config.t) ?clock ~source_root ~paths () =
     notices;
     suppressed;
     stale_suppressions;
+    stale_sanctions = stale_sanctions config units;
     units_checked = List.map (fun u -> u.Cmt_unit.name) units;
     timings;
   }
+
+let stale_sanction_lines result =
+  List.map
+    (fun (list, u, b) ->
+      Printf.sprintf
+        "stale sanction in Lint_config.%s: %s%s names nothing in the scanned \
+         tree"
+        list u
+        (match b with
+        | Some b -> "." ^ b
+        | None -> ""))
+    result.stale_sanctions
+
+(* Whether [--strict-local] fails the run beyond its errors: every
+   in-source waiver and every configured sanction must still earn its
+   keep. *)
+let stale result = result.stale_suppressions <> [] || result.stale_sanctions <> []
 
 let render_text result =
   let buf = Buffer.create 1024 in
@@ -335,6 +405,11 @@ let render_text result =
            "%s:%d: warning: stale suppression for rule %S matches no finding\n"
            file line rule))
     result.stale_suppressions;
+  List.iter
+    (fun line ->
+      Buffer.add_string buf ("warning: " ^ line);
+      Buffer.add_char buf '\n')
+    (stale_sanction_lines result);
   List.iter
     (fun (stage, s) ->
       Buffer.add_string buf

@@ -107,10 +107,31 @@ let mutators =
 
 let path_name p = Path.name p
 
+(* The name the tables above know a function by. A function of a
+   [Hashtbl.S] or [SeededS] instance ([Hashtbl.Make (Int)]'s [replace],
+   say) is declared in hashtbl.mli like [Stdlib.Hashtbl]'s own, so it
+   goes by [Stdlib.Hashtbl]'s name. *)
+let canonical_name p (vd : Types.value_description) =
+  if Filename.basename vd.val_loc.loc_start.pos_fname = "hashtbl.mli" then
+    "Stdlib.Hashtbl." ^ Path.last p
+  else path_name p
+
+(* The index of the argument a mutating primitive mutates: the table
+   above, plus the [Bytes.set_int*]/[set_uint*] family. *)
+let mutated_arg name =
+  match List.assoc_opt name mutators with
+  | Some _ as idx -> idx
+  | None ->
+    if
+      String.starts_with ~prefix:"Stdlib.Bytes.set_int" name
+      || String.starts_with ~prefix:"Stdlib.Bytes.set_uint" name
+    then Some 0
+    else None
+
 let is_creator e =
   match e.exp_desc with
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
-    List.mem (path_name p) creators
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, _) ->
+    List.mem (canonical_name p vd) creators
   | Texp_array _ -> true
   | Texp_record _ -> true (* a fresh record; mutable fields start local *)
   | _ -> false
@@ -168,7 +189,7 @@ let expr_hook ~locals ~strict_local
              "mutable field %S set outside the runtime: shared state must \
               flow through Runtime.tvar (R.write)"
              label.Types.lbl_name)
-    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) -> (
       let name = path_name p in
       if String.starts_with ~prefix:"Stdlib.Atomic." name then
         add ~rule:"raw-mut" ~loc:e.exp_loc
@@ -188,7 +209,7 @@ let expr_hook ~locals ~strict_local
         | _ -> ()
       end
       else
-        match List.assoc_opt name mutators with
+        match mutated_arg (canonical_name p vd) with
         | None -> ()
         | Some idx -> (
           match nth_positional args idx with

@@ -15,7 +15,7 @@
    per-entry box and slots are reused in place. TL2/LSA journal
    overwrites of their lazy write buffer through [save_ref] /
    [restore_ref] below; ETL journals in-place tvar stores through its
-   own pair of helpers. The coercions are justified like [Tl2.cast_ref]:
+   own pair of helpers. The coercions are justified like [Mvstm.cast_ref]:
    target and value are captured together from the same ['a] and only
    ever re-paired at the same index, so the hidden types cannot mix.
    [undo_unset] is an immediate, so the arrays are never

@@ -2,8 +2,9 @@
    the style of TinySTM's write-through mode (Felber, Fetzer, Riegel,
    PPoPP'08; the TinySTM exemplar referenced in SNIPPETS.md §3).
 
-   Same per-tvar versioned-lock word and global version clock as
-   {!Tl2}; the difference is WHEN writes take effect:
+   Same per-tvar versioned-lock word, global version clock and commit
+   prologue as TL2 ({!Mvstm}); the difference is WHEN writes take
+   effect:
    - a writer acquires the tvar's vlock at its FIRST write (encounter
      time), stores the new value in place, and keeps the lock until
      commit or abort;
@@ -97,10 +98,10 @@ let rec tx_read : type a. unit Txdesc.vtx -> a tvar -> a =
     end
   end
 
-(* Zero-log read-only mode, identical to {!Tl2}'s: an odd vlock is a
-   writer in its (here: potentially long) lock window — restart the
-   closure rather than spin it out, since an encounter-time lock can
-   be held for the writer's whole transaction. *)
+(* Zero-log read-only mode, as TL2's ({!Mvstm.ro_read}) except that an
+   odd vlock is a writer in its (here: potentially long) lock window —
+   restart the closure rather than spin it out, since an encounter-time
+   lock can be held for the writer's whole transaction. *)
 let ro_read : type a. int -> a tvar -> a =
  fun rv tv ->
   let v1 = Atomic.get tv.vlock in
@@ -138,26 +139,18 @@ let rollback (tx : _ Txdesc.vtx) =
   tx.wbloom <- 0
 
 (* Commit: values are already in place and every written tvar is
-   locked, so all that is left is read validation (skippable iff our
-   clock tick proves nothing else committed since [rv]) and releasing
-   the locks at the new write version. A validation failure leaves the
-   locks HELD and raises — the [atomic] conflict handler owns the
-   rollback, because it may instead salvage a checkpointed prefix. *)
+   locked, so all that is left is {!Txdesc.commit_version}'s prologue
+   (clock tick, then read validation unless the tick proves nothing
+   else committed since [rv]) and releasing the locks at the new write
+   version. A validation failure leaves the locks HELD and raises — the
+   [atomic] conflict handler owns the rollback, because it may instead
+   salvage a checkpointed prefix. *)
 let commit (tx : _ Txdesc.vtx) =
   if Hashtbl.length tx.writes = 0 then
     Stm_stats.record_commit global_stats ~read_only:true
   else begin
-    let wv, unique =
-      match Global_clock.tick_or_reuse clock with
-      | Ticked wv -> (wv, true)
-      | Reused wv ->
-        Stm_stats.(incr global_stats clock_reuses);
-        (wv, false)
-    in
-    if
-      not (unique && wv = tx.rv + 2)
-      && not (Readset.valid tx.rs ~own_locks:true tx.writes)
-    then raise Conflict;
+    let wv = Txdesc.commit_version global_stats clock ~blind:false tx in
+    if wv < 0 then raise Conflict;
     Checkpoint.publish tx.ck wv;
     Hashtbl.reset tx.writes;
     Checkpoint.clear_undo tx.ck;

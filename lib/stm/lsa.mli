@@ -1,11 +1,12 @@
 (** A multi-version STM in the style of the Lazy Snapshot Algorithm
     [Riegel–Felber–Fetzer, DISC'06] — reference [11] of the STMBench7
-    paper. Update transactions are TL2-like (sharing TL2's read-set
-    dedup, write-set bloom filter and low-contention commit clock);
-    commits append to a short per-tvar version history kept as a
-    fixed-size circular array, so transactions run in snapshot mode
-    read a consistent past view with no validation and no conflicts —
-    the proposed cure for the benchmark's long read-only traversals. *)
+    paper. It is the four-version instance of {!Mvstm}, which it shares
+    with {!Tl2}: update transactions are exactly TL2's (read-set dedup,
+    write-set bloom filter, low-contention commit clock), and a commit
+    pushes the version it replaces into a fixed-size per-tvar ring of
+    the three older versions, so transactions run in snapshot mode read
+    a consistent past view with no validation and no conflicts — the
+    proposed cure for the benchmark's long read-only traversals. *)
 
 include Stm_intf.S
 

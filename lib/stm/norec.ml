@@ -80,7 +80,7 @@ let read_still_current (tv : Obj.t) (seen : Obj.t) =
 (* A buffered write. The payload type is recovered in [cast_ref],
    justified by the uniqueness of tvar ids: equal ids imply physical
    equality of the tvars and hence equality of the hidden types (same
-   argument as {!Tl2.cast_ref}; documented in DESIGN.md §3). *)
+   argument as {!Mvstm.cast_ref}; documented in DESIGN.md §3). *)
 type wentry = W : { tv : 'a tvar; value : 'a ref } -> wentry
 
 let cast_ref : type a. a tvar -> wentry -> a ref =

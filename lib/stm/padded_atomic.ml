@@ -7,7 +7,7 @@
    garbage; the padding fields are simply never read.
 
    This is the second sanctioned use of [Obj] in the repository (the
-   first is the typed-log coercion in Tl2/Lsa.cast_ref; see
+   first is the typed-log coercion in Mvstm.cast_ref; see
    DESIGN.md §3). OCaml 5.2's [Atomic.make_contended] subsumes the
    atomic half of this module, but the CI matrix includes 5.1. *)
 

@@ -1,7 +1,9 @@
 (** A TL2-style software transactional memory: global version clock,
     invisible-but-validated reads in O(1) per read (opacity), lazy write
     buffering, commit-time locking with a single O(k) read-set
-    validation pass, and TinySTM-style timestamp extension.
+    validation pass, and TinySTM-style timestamp extension. It is the
+    one-version instance of {!Mvstm}, which it shares with {!Lsa}: a
+    tvar keeps only its newest value.
 
     Log management is tuned for STMBench7's long traversals: re-reading
     an already-logged tvar is deduplicated in O(1) (so k counts
@@ -14,9 +16,9 @@
     [atomic_ro] is TL2's zero-log read-only mode: no read set, no
     commit validation, no clock CAS — each read is a vlock sandwich
     plus a [version <= rv] check, restarting at a fresh read version
-    when the check fails. A [write] inside it raises
-    {!Stm_intf.Write_in_read_only} so the runtime layer can demote the
-    operation to an update transaction.
+    when the check fails (counted in [ro_inline_revalidations]). A
+    [write] inside it raises {!Stm_intf.Write_in_read_only} so the
+    runtime layer can demote the operation to an update transaction.
 
     This is the representative of the "solutions already proposed"
     [Dice–Shalev–Shavit, DISC'06] the STMBench7 paper points to as the

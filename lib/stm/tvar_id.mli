@@ -1,6 +1,6 @@
 (** Chunked tvar-id allocation.
 
-    Every [Tl2.make] / [Lsa.make] / fine-grained [make] needs a fresh
+    Every TL2/LSA ({!Mvstm}) / fine-grained [make] needs a fresh
     small int for dedup-cache and bloom hashing. A global
     [Atomic.fetch_and_add] per tvar serializes all domains through one
     cache line during setup phases that allocate hundreds of thousands

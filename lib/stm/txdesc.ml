@@ -189,12 +189,12 @@ let atomic_ro t ~snapshot f =
 
 (* --- The versioned descriptor of TL2, LSA and ETL ---
 
-   The three share the per-tvar versioned lock and a global clock, so
-   their descriptors differ only in the write-set entry ['w]: what each
-   keeps is when it locks (TL2/LSA at commit, ETL at first write), how
-   writes are held (a lazy buffer journalled through
-   {!Checkpoint.save_ref}, or in place with a journal) and how versions
-   are read (one vlock, or LSA's ring). *)
+   The three share the per-tvar versioned lock, a global clock and the
+   commit prologue ([commit_version]), so their descriptors differ only
+   in the write-set entry ['w]: what each keeps is when it locks
+   ({!Mvstm} at commit, ETL at first write) and how writes are held (a
+   lazy buffer journalled through {!Checkpoint.save_ref}, or in place
+   with a journal). *)
 
 type 'w vtx = {
   mutable rv : int;
@@ -248,6 +248,29 @@ let extend clock ~own_locks tx =
     tx.extensions <- tx.extensions + 1
   end
   else raise Stm_intf.Conflict
+
+(* The GV4 commit prologue of TL2, LSA and ETL, run once every written
+   tvar is locked (required by [tick_or_reuse]'s contract): one CAS
+   attempt on the clock, adopting a concurrent committer's value when
+   it fails, then read-set validation — unless the tick proves nothing
+   committed since [rv] (standard TL2 optimization; a reused value
+   forfeits it, as the interleaved tick WAS a commit). Entries the
+   transaction holds the lock on appear as [version + 1]. Returns the
+   write version, or -1 when validation fails; the caller decides what
+   to release before it raises. [~blind] skips validation (TL2's
+   seeded bug). *)
+let commit_version stats clock ~blind tx =
+  match Global_clock.tick_or_reuse clock with
+  | Ticked wv when wv = tx.rv + 2 -> wv
+  | tick ->
+    let wv =
+      match tick with
+      | Ticked wv -> wv
+      | Reused wv ->
+        Stm_stats.(incr stats clock_reuses);
+        wv
+    in
+    if blind || Readset.valid tx.rs ~own_locks:true tx.writes then wv else -1
 
 (* Partial abort (see {!Checkpoint.salvage}): on success the prefix
    just validated at the returned version becomes the new [rv], so

@@ -129,6 +129,19 @@ let test_r1_suppression () =
     (List.length
        (List.filter (in_file "r1_suppressed.ml") r.Lint_engine.suppressed))
 
+(* The mutations R1 knows over Stdlib.Hashtbl and Bytes.set, written
+   through a [Hashtbl.Make] instance and [Bytes.set_int64_le]. *)
+let test_r1_functor_tables_and_byte_stores () =
+  (* probe_seen: the instance's [create] at module level. *)
+  check_count ~rule:"raw-mut-global" ~file:"r1_functor_tbl.ml" 1;
+  (* probe_note's [Id_set.replace] into it; stamp's store into a
+     caller's buffer. *)
+  check_count ~rule:"raw-mut" ~file:"r1_functor_tbl.ml" 2;
+  let r = run ~strict_local:true () in
+  Alcotest.(check int)
+    "the local table and buffer are notices" 2
+    (count ~rule:"raw-mut" ~file:"r1_functor_tbl.ml" r.Lint_engine.notices)
+
 let test_r1_dls_fires () =
   (* new_key, get and set each fire once. *)
   check_count ~rule:"raw-dls" ~file:"r1_dls.ml" 3;
@@ -322,6 +335,54 @@ let test_stale_suppression_reported () =
        (fun (file, _, _) -> Filename.basename file <> "r1_suppressed.ml")
        r.Lint_engine.stale_suppressions)
 
+(* A sanction whose unit or top-level binding is gone is reported, and
+   fails --strict-local; entries naming a present binding — one inside
+   a functor body included — are not. *)
+let test_stale_sanctions_reported () =
+  let config =
+    {
+      fixture_config with
+      Lint_config.r5 =
+        {
+          fixture_config.r5 with
+          r5_allowed =
+            [
+              ("Lint_fixtures__R5_allowed", Some "cast_ref");
+              ("Lint_fixtures__R5_allowed", Some "removed_cast");
+              ("Lint_fixtures__R5_gone", None);
+            ];
+        };
+      r7 =
+        {
+          fixture_config.r7 with
+          r7_roots =
+            [
+              ("Lint_fixtures__R4_bag", Some "add");
+              ("Lint_fixtures__R7_bad", Some "removed_root");
+            ];
+          r7_allowed =
+            [
+              ("Lint_fixtures__R7_bad", None, "fixture: present unit");
+              ("Lint_fixtures__R7_gone", Some "write", "fixture: gone unit");
+            ];
+        };
+    }
+  in
+  let r = Lint_engine.run ~config ~source_root:".." ~paths:[ fixture_cmts ] () in
+  Alcotest.(check (list (triple string string (option string))))
+    "exactly the entries naming nothing"
+    [
+      ("r5_allowed", "Lint_fixtures__R5_allowed", Some "removed_cast");
+      ("r5_allowed", "Lint_fixtures__R5_gone", None);
+      ("r7_roots", "Lint_fixtures__R7_bad", Some "removed_root");
+      ("r7_allowed", "Lint_fixtures__R7_gone", Some "write");
+    ]
+    r.Lint_engine.stale_sanctions;
+  Alcotest.(check bool) "strict mode fails on them" true (Lint_engine.stale r);
+  Alcotest.(check (list (triple string string (option string))))
+    "the fixture configuration has none" []
+    (Lazy.force result).Lint_engine.stale_sanctions
+
 let test_r6_fires () =
   (* stash_closure, stash_named, leak_local, leak_to_outer. *)
   check_count ~rule:"tvar-escape" ~file:"r6_bad.ml" 4
@@ -492,6 +553,8 @@ let () =
             test_strict_local_notices;
           Alcotest.test_case "stale suppressions reported" `Quick
             test_stale_suppression_reported;
+          Alcotest.test_case "stale sanctions reported" `Quick
+            test_stale_sanctions_reported;
           Alcotest.test_case "--rules family validation" `Quick
             test_rules_validation;
           Alcotest.test_case "SARIF structure" `Quick test_sarif_structure;
@@ -503,6 +566,8 @@ let () =
           Alcotest.test_case "violations fire" `Quick test_r1_fires;
           Alcotest.test_case "clean module" `Quick test_r1_clean_module;
           Alcotest.test_case "suppression comments" `Quick test_r1_suppression;
+          Alcotest.test_case "functor tables and byte stores" `Quick
+            test_r1_functor_tables_and_byte_stores;
           Alcotest.test_case "raw-dls fires" `Quick test_r1_dls_fires;
           Alcotest.test_case "raw-dls allowlist" `Quick test_r1_dls_allowlist;
         ] );

@@ -120,6 +120,43 @@ let test_bool_varies () =
   done;
   Alcotest.(check bool) "not constant" true (!trues > 400 && !trues < 600)
 
+(* The first draws of fixed seeds, recorded from the int64-field
+   generator this one replaced: the state's representation must not
+   change the stream. *)
+let test_pinned_draws () =
+  let draws rng n = List.init n (fun _ -> R.int rng 1_000_000) in
+  let a = R.create ~seed:42 in
+  Alcotest.(check (list int))
+    "int, seed 42"
+    [ 499605; 892291; 375954; 867860; 963250 ]
+    (draws a 5);
+  let parent = R.create ~seed:7 in
+  let child = R.split parent in
+  Alcotest.(check (list int)) "split child, seed 7" [ 921413; 106366; 949019 ]
+    (draws child 3);
+  Alcotest.(check (list int)) "split parent, seed 7" [ 955804; 445634; 696395 ]
+    (draws parent 3);
+  let orig = R.create ~seed:23 in
+  ignore (R.int orig 100);
+  let dup = R.copy orig in
+  Alcotest.(check (list int)) "copy, seed 23" [ 66871; 964910; 103235 ]
+    (draws dup 3);
+  Alcotest.(check (list int)) "copied-from, seed 23" [ 66871; 964910; 103235 ]
+    (draws orig 3)
+
+(* Every operation pick and every random id costs a draw, so a draw
+   must not allocate. *)
+let test_draws_allocate_nothing () =
+  let rng = R.create ~seed:42 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    sum := !sum + R.int rng 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "draws ran" true (!sum > 0);
+  Alcotest.(check (float 0.)) "minor words over 100k draws" 0. words
+
 let suite =
   [
     Alcotest.test_case "deterministic per seed" `Quick test_deterministic;
@@ -137,6 +174,9 @@ let suite =
     Alcotest.test_case "element membership" `Quick test_element;
     Alcotest.test_case "element on empty" `Quick test_element_empty;
     Alcotest.test_case "bool varies" `Quick test_bool_varies;
+    Alcotest.test_case "pinned first draws" `Quick test_pinned_draws;
+    Alcotest.test_case "draws allocate nothing" `Quick
+      test_draws_allocate_nothing;
   ]
 
 let () = Alcotest.run "sb_random" [ ("sb_random", suite) ]

@@ -306,6 +306,7 @@ let test_lsa_snapshot_reads_old_version () =
    a consistent, newer snapshot — never a mix. *)
 let test_lsa_snapshot_eviction_retries () =
   let module L = Sb7_stm.Lsa in
+  L.reset_stats ();
   let tv = L.make 0 in
   let gate_snapshot_started = Atomic.make false in
   let gate_writes_done = Atomic.make false in
@@ -334,7 +335,17 @@ let test_lsa_snapshot_eviction_retries () =
   Alcotest.(check bool) "snapshot retried after eviction" true
     (Atomic.get runs >= 2);
   Alcotest.(check int) "retried snapshot is consistent" first second;
-  Alcotest.(check int) "and sees the final value" 20 second
+  Alcotest.(check int) "and sees the final value" 20 second;
+  (* An eviction is a conflict with the writers, not a stale start:
+     counted as an abort, never as an inline revalidation. *)
+  let s = L.stats () in
+  let open Sb7_stm.Stm_stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "eviction counted as an abort (got %d)" (get s aborts))
+    true
+    (get s aborts >= 1);
+  Alcotest.(check int) "no inline revalidation" 0
+    (get s ro_inline_revalidations)
 
 (* The Lsa.write-outside-a-transaction fix: the store must appear as a
    NEW version, so a snapshot opened before it keeps reading the old
@@ -692,6 +703,53 @@ let test_domain_waves (module S : STM) () =
   wave 10;
   Alcotest.(check int) "a third wave loses no update" 1220 (S.read tv)
 
+(* A commit that fails validation leaves nothing behind: its write set
+   is unlocked and keeps its old values, so another domain writes the
+   same tvars at once. The first attempt reads [r], writes [w1] and
+   [w2], and lets another domain commit to [r] before committing; the
+   second attempt lets another domain update [w1] and [w2]. Both
+   transactions give up after a few attempts, so a lock left held
+   fails the test instead of hanging it. *)
+let test_failed_commit_releases (module S : STM) () =
+  S.reset_stats ();
+  let r = S.make 0 and w1 = S.make 0 and w2 = S.make 0 in
+  let bounded runs f =
+    match
+      S.atomic (fun () ->
+          incr runs;
+          if !runs > 8 then raise Exit;
+          f ())
+    with
+    | v -> Some v
+    | exception Exit -> None
+  in
+  let on_other_domain f = Domain.join (Domain.spawn f) in
+  let runs = ref 0 and other = ref None in
+  ignore
+    (bounded runs (fun () ->
+         if !runs = 2 then
+           other :=
+             on_other_domain (fun () ->
+                 bounded (ref 0) (fun () ->
+                     let a = S.read w1 and b = S.read w2 in
+                     S.write w1 (a + 10);
+                     S.write w2 (b + 20);
+                     (a, b)));
+         let x = S.read r in
+         S.write w1 (x + 1);
+         S.write w2 (x + 1);
+         if !runs = 1 then
+           on_other_domain (fun () -> S.atomic (fun () -> S.write r 100))));
+  Alcotest.(check int) "one failed commit, one retry" 2 !runs;
+  Alcotest.(check (option (pair int int)))
+    "the other domain wrote the same tvars, seeing their old values"
+    (Some (0, 0)) !other;
+  Alcotest.(check (pair int int))
+    "the retry committed over it" (101, 101)
+    (S.read w1, S.read w2);
+  Alcotest.(check int) "the failed commit is one abort" 1
+    Sb7_stm.Stm_stats.(get (S.stats ()) aborts)
+
 let specific_suite =
   [
     Alcotest.test_case "astm validation is quadratic" `Quick
@@ -717,6 +775,12 @@ let specific_suite =
     Alcotest.test_case "norec bloom-filtered write-set lookup" `Quick
       (test_bloom_skips_and_correctness (module Sb7_stm.Norec));
     Alcotest.test_case "new counters exported" `Quick test_counters_exported;
+    Alcotest.test_case "tl2 failed commit releases its writes" `Quick
+      (test_failed_commit_releases (module Sb7_stm.Tl2));
+    Alcotest.test_case "lsa failed commit releases its writes" `Quick
+      (test_failed_commit_releases (module Sb7_stm.Lsa));
+    Alcotest.test_case "etl failed commit releases its writes" `Quick
+      (test_failed_commit_releases (module Sb7_stm.Etl));
     Alcotest.test_case "tl2 domain waves lose no update" `Slow
       (test_domain_waves (module Sb7_stm.Tl2));
     Alcotest.test_case "lsa domain waves lose no update" `Slow
